@@ -24,15 +24,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .compensator import (attach_compensator, performance_bound,
-                          synthesize_compensator,
+from .compensator import (Compensator, attach_compensator, compensated_plant,
+                          performance_bound, synthesize_compensator,
                           synthesize_observer_compensator, verify_triangular)
 from .export import plot_commands, plot_outputs, trajectory_csv
 from .lti import default_grid, eval_frequency, spectral_abscissa
 from .network import NetworkedSystem, interconnect, is_cascade, is_weakly_resilient
 from .powergrid import find_destabilizing_attack, grid_network
-from .simulate import (ReferenceSignal, Scenario, max_step, run_scenario,
-                       simulate)
+from .simulate import (ReferenceSignal, Scenario, Trajectory, max_step,
+                       run_scenario, simulate)
 from .synthesis import SynthesisError, hinf_norm
 from .youla import destabilizer_search
 
@@ -60,7 +60,7 @@ def cmd_check(args) -> int:
     out = _ensure_out(args)
     cascade = is_cascade(ns)
     print(f"cascade structure: {cascade.value}")
-    report = is_weakly_resilient(ns, certify=not args.no_certificate, seed=args.seed)
+    report = is_weakly_resilient(ns, certify=not args.no_certificate)
     print(f"resilience verdict: {report.verdict} (exact={report.exact})")
     for note in report.notes:
         print(f"  note: {note}")
@@ -106,7 +106,7 @@ def cmd_compensate(args) -> int:
 def cmd_attack_search(args) -> int:
     ns = _load_network(args.system)
     out = _ensure_out(args)
-    res = destabilizer_search(ns, seed=args.seed)
+    res = destabilizer_search(ns)
     _dump(res.report(), os.path.join(out, "destabilizer.json"))
     if res.found:
         print(f"destabilizer found: omega={res.omega:.4g} k={res.allpass.k:.4g} "
@@ -120,25 +120,16 @@ def cmd_attack_search(args) -> int:
 def cmd_simulate(args) -> int:
     ns = _load_network(args.system)
     out = _ensure_out(args)
-    if args.compensator:
-        from .compensator import Compensator
-
-        comp = Compensator.from_json(args.compensator)
-        plant = attach_compensator(ns, comp)
-        n_phi = ns.n
-    else:
-        plant = interconnect(ns)
-        n_phi = 0
+    comp = Compensator.from_json(args.compensator) if args.compensator else None
+    plant, phi, xs = compensated_plant(ns, comp)
     rng = np.random.default_rng(args.seed)
     x0 = np.zeros(plant.n)
-    x0[n_phi:n_phi + ns.n] = rng.standard_normal(ns.n)
+    x0[xs] = rng.standard_normal(ns.n)
     h = min(args.h, 0.5 * max_step(plant.A))
     traj = simulate(plant, x0, None, T=args.T, h=h, store_every=args.store_every)
     # split the compensator block out for the CSV layout
-    from .simulate import Trajectory
-
-    traj = Trajectory(times=traj.times, states=traj.states[:, n_phi:],
-                      comp_states=traj.states[:, :n_phi], outputs=traj.outputs,
+    traj = Trajectory(times=traj.times, states=traj.states[:, xs],
+                      comp_states=traj.states[:, phi], outputs=traj.outputs,
                       inputs=traj.inputs, h=traj.h, diverged=traj.diverged,
                       commands=traj.inputs)
     csv_path = os.path.join(out, "trajectory.csv")

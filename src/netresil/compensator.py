@@ -291,3 +291,21 @@ def attach_observer_compensator(ns: NetworkedSystem,
     B = np.vstack([np.zeros((n, ns.m)), sigma.B, sigma.B])
     C = np.hstack([comp.Xi, np.zeros((ns.q, n)), dgC])
     return StateSpace(A, B, C, None)
+
+
+def compensated_plant(ns: NetworkedSystem,
+                      comp: Compensator | ObserverCompensator | None
+                      ) -> tuple[StateSpace, slice, slice]:
+    """Plant over (u -> y) with no compensator, a compensator or an
+    observer-fed one attached, plus the slices of its state that hold the
+    compensator state phi and the physical state x.
+
+    The state is x, (phi, x) or (phi, xhat, x) respectively; phi is empty
+    when ``comp`` is None.
+    """
+    n = ns.n
+    if comp is None:
+        return interconnect(ns), slice(0, 0), slice(0, n)
+    if isinstance(comp, ObserverCompensator):
+        return attach_observer_compensator(ns, comp), slice(0, n), slice(2 * n, 3 * n)
+    return attach_compensator(ns, comp), slice(0, n), slice(n, 2 * n)

@@ -252,8 +252,7 @@ class ResilienceReport:
     certificate: object | None = None
 
 
-def is_weakly_resilient(ns: NetworkedSystem, certify: bool = True,
-                        seed: int = 0) -> ResilienceReport:
+def is_weakly_resilient(ns: NetworkedSystem, certify: bool = True) -> ResilienceReport:
     """Decide whether every pair of locally stabilizing controllers keeps
     the interconnection stable.
 
@@ -286,7 +285,7 @@ def is_weakly_resilient(ns: NetworkedSystem, certify: bool = True,
     if certify:
         from .youla import destabilizer_search
 
-        result = destabilizer_search(ns, seed=seed)
+        result = destabilizer_search(ns)
         if result.found:
             certificate = result
         else:

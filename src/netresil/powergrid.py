@@ -26,8 +26,10 @@ import scipy.linalg as sla
 
 from .lti import StateSpace, spectral_abscissa
 from .network import NetworkedSystem, Subsystem
+from .sampling import random_stable_statespace
 from .simulate import ReferenceSignal, closed_tracking_loop
 from .synthesis import SynthesisError, solve_care
+from .youla import _observer_controller
 
 PARAM_RANGES = {
     "M": (0.01, 1.0),
@@ -203,33 +205,34 @@ class TrackingController:
     L: np.ndarray
 
     def realize(self, q_param: StateSpace | None = None) -> StateSpace:
-        """Controller with inputs (y, y_d) and output u."""
-        A, B, C = self.A, self.B, self.C
-        Kx, Ke, L = self.Kx, self.Ke, self.L
-        n, qd = A.shape[0], C.shape[0]
+        """Controller with inputs (y, y_d) and output u.
+
+        The observer-based controller of the integrator-augmented cluster
+        (gain -[Kx Ke], injection [L; I]) with the reference entering the
+        integrator as -y_d.
+        """
+        n, m, qd = self.A.shape[0], self.B.shape[1], self.C.shape[0]
         if q_param is None:
-            q_param = StateSpace.from_gain(np.zeros((B.shape[1], qd)))
-        Aq, Bq, Cq, Dq = q_param.A, q_param.B, q_param.C, q_param.D
-        nq = q_param.n
-        Ak = np.block([
-            [A - L @ C - B @ Kx - B @ Dq @ C, -B @ Ke, B @ Cq],
-            [np.zeros((qd, n)), np.zeros((qd, qd)), np.zeros((qd, nq))],
-            [-Bq @ C, np.zeros((nq, qd)), Aq],
-        ])
-        Bk = np.block([
-            [L + B @ Dq, np.zeros((n, qd))],
-            [np.eye(qd), -np.eye(qd)],
-            [Bq, np.zeros((nq, qd))],
-        ])
-        Ck = np.hstack([-Kx - Dq @ C, -Ke, Cq])
-        Dk = np.hstack([Dq, np.zeros((B.shape[1], qd))])
-        return StateSpace(Ak, Bk, Ck, Dk)
+            q_param = StateSpace.from_gain(np.zeros((m, qd)))
+        k = _observer_controller(*_integrator_augmented(self.A, self.B, self.C),
+                                 -np.hstack([self.Kx, self.Ke]),
+                                 np.vstack([self.L, np.eye(qd)]), q_param)
+        Bd = np.vstack([np.zeros((n, qd)), -np.eye(qd), np.zeros((q_param.n, qd))])
+        return StateSpace(k.A, np.hstack([k.B, Bd]), k.C, np.hstack([k.D, np.zeros((m, qd))]))
 
     def local_abscissa(self, q_param: StateSpace | None = None) -> float:
         """Spectral abscissa of the local cluster closed loop."""
         plant = StateSpace(self.A, self.B, self.C, None)
         loop = closed_tracking_loop(plant, [self.realize(q_param)], [self.C.shape[0]])
         return spectral_abscissa(loop.A)
+
+
+def _integrator_augmented(A, B, C):
+    """(A, B, C) of the cluster with the output integral appended to the state."""
+    n, m, qd = A.shape[0], B.shape[1], C.shape[0]
+    return (np.block([[A, np.zeros((n, qd))], [C, np.zeros((qd, qd))]]),
+            np.vstack([B, np.zeros((qd, m))]),
+            np.hstack([C, np.zeros((qd, qd))]))
 
 
 def design_tracking_controller(A, B, C, q_scale: float = 1.0,
@@ -239,8 +242,7 @@ def design_tracking_controller(A, B, C, q_scale: float = 1.0,
     B = np.asarray(B, dtype=float)
     C = np.asarray(C, dtype=float)
     n, m, qd = A.shape[0], B.shape[1], C.shape[0]
-    A_aug = np.block([[A, np.zeros((n, qd))], [C, np.zeros((qd, qd))]])
-    B_aug = np.vstack([B, np.zeros((qd, m))])
+    A_aug, B_aug, _ = _integrator_augmented(A, B, C)
     sol = solve_care(A_aug, B_aug, q_scale * np.eye(n + qd), r_scale * np.eye(m))
     Kx, Ke = sol.K[:, :n], sol.K[:, n:]
     obs = solve_care(A.T, C.T, np.eye(n), np.eye(qd))
@@ -267,16 +269,6 @@ def design_tracking_controllers(ns: NetworkedSystem, q_scale: float = 1.0,
                                        -level, level, shared=True)
     ref = ReferenceSignal(r1.times, np.hstack([r1.levels, r2.levels]))
     return k1, k2, ref
-
-
-def random_innovation_parameter(rng: np.random.Generator, n_out: int, n_in: int,
-                                order: int = 2, gain: float = 1.0) -> StateSpace:
-    """Random stable free parameter for the innovation channel."""
-    Aq = rng.normal(size=(order, order))
-    Aq = Aq - (np.linalg.eigvals(Aq).real.max() + rng.uniform(0.2, 2.0)) * np.eye(order)
-    return StateSpace(Aq, rng.normal(size=(order, n_in)),
-                      gain * rng.normal(size=(n_out, order)),
-                      gain * rng.normal(size=(n_out, n_in)))
 
 
 @dataclass(frozen=True)
@@ -309,8 +301,10 @@ def find_destabilizing_attack(ns: NetworkedSystem, k1: TrackingController,
     q_dims = (ns.sub1.q, ns.sub2.q)
     for trial in range(max_trials):
         gain = 10.0 ** rng.uniform(0.0, 2.5)
-        qp1 = random_innovation_parameter(rng, ns.sub1.m, ns.sub1.q, gain=gain)
-        qp2 = random_innovation_parameter(rng, ns.sub2.m, ns.sub2.q, gain=gain)
+        qp1 = random_stable_statespace(rng, 2, m=ns.sub1.q, q=ns.sub1.m, gain=gain,
+                                       min_margin=0.2)
+        qp2 = random_stable_statespace(rng, 2, m=ns.sub2.q, q=ns.sub2.m, gain=gain,
+                                       min_margin=0.2)
         loc1 = k1.local_abscissa(qp1)
         loc2 = k2.local_abscissa(qp2)
         if loc1 >= -1e-6 or loc2 >= -1e-6:

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
-from .compensator import (Compensator, ObserverCompensator, attach_compensator,
-                          attach_observer_compensator)
-from .lti import StateSpace, spectral_abscissa
-from .network import NetworkedSystem, interconnect
+from .compensator import Compensator, ObserverCompensator, compensated_plant
+from .lti import StateSpace, blockdiag, feedback_interconnect, spectral_abscissa
+from .network import NetworkedSystem
 
 DIVERGENCE_LIMIT = 1e9
 
@@ -260,35 +258,30 @@ def closed_tracking_loop(plant: StateSpace, controllers: Sequence[StateSpace],
     """Close per-channel tracking controllers u_i = kappa_i(y_i, y_i^d).
 
     Returns the loop driven by the stacked reference y^d with outputs
-    (y, u). The plant must be strictly proper.
+    (y, u). The plant must be strictly proper: the plant is augmented to
+    inputs (u, y^d) and outputs (y, u, y, y^d), and the block-diagonal
+    controller is closed over the last two groups, read per channel as
+    (y_i, y_i^d).
     """
     if np.any(plant.D):
         raise ValueError("tracking loop assembly expects a strictly proper plant")
     if sum(q_dims) != plant.q:
         raise ValueError("channel output dims must cover the plant outputs")
-    Ak = sla.block_diag(*[k.A for k in controllers])
-    nk = Ak.shape[0]
-    By, Bd, Dy, Dd = [], [], [], []
-    for k, qi in zip(controllers, q_dims):
-        if k.m != 2 * qi:
-            raise ValueError("tracking controller must take (y_i, y_i^d)")
-        By.append(k.B[:, :qi])
-        Bd.append(k.B[:, qi:])
-        Dy.append(k.D[:, :qi])
-        Dd.append(k.D[:, qi:])
-    Bky = sla.block_diag(*By)
-    Bkd = sla.block_diag(*Bd)
-    Ck = sla.block_diag(*[k.C for k in controllers])
-    Dky = sla.block_diag(*Dy)
-    Dkd = sla.block_diag(*Dd)
-    n, q = plant.n, plant.q
-    A = np.block([[plant.A + plant.B @ Dky @ plant.C, plant.B @ Ck],
-                  [Bky @ plant.C, Ak]])
-    B = np.vstack([plant.B @ Dkd, Bkd])
-    C = np.block([[plant.C, np.zeros((q, nk))],
-                  [Dky @ plant.C, Ck]])
-    D = np.vstack([np.zeros((q, q)), Dkd])
-    return StateSpace(A, B, C, D)
+    if any(k.m != 2 * qi for k, qi in zip(controllers, q_dims)):
+        raise ValueError("tracking controller must take (y_i, y_i^d)")
+    n, m, q = plant.n, plant.m, plant.q
+    B = np.hstack([plant.B, np.zeros((n, q))])
+    C = np.vstack([plant.C, np.zeros((m, n)), plant.C, np.zeros((q, n))])
+    D = np.zeros((3 * q + m, m + q))
+    D[q:q + m, :m] = np.eye(m)
+    D[2 * q + m:, m:] = np.eye(q)
+    # controller inputs, channel by channel: y_i (second y group), then y_i^d
+    looped, start = [], q + m
+    for qi in q_dims:
+        looped += list(range(start, start + qi)) + list(range(start + q, start + q + qi))
+        start += qi
+    return feedback_interconnect(StateSpace(plant.A, B, C, D), blockdiag(*controllers),
+                                 input_map=range(m), output_map=looped)
 
 
 def run_scenario(ns: NetworkedSystem, comp: Compensator | ObserverCompensator | None,
@@ -303,18 +296,7 @@ def run_scenario(ns: NetworkedSystem, comp: Compensator | ObserverCompensator | 
     state, compensator state, outputs, reference, commands) and one
     stability report per segment.
     """
-    if comp is None:
-        plant = interconnect(ns)
-        n_phi = 0
-        x_slice = slice(0, ns.n)
-    elif isinstance(comp, ObserverCompensator):
-        plant = attach_observer_compensator(ns, comp)
-        n_phi = ns.n
-        x_slice = slice(2 * ns.n, 3 * ns.n)
-    else:
-        plant = attach_compensator(ns, comp)
-        n_phi = ns.n
-        x_slice = slice(ns.n, 2 * ns.n)
+    plant, phi_slice, x_slice = compensated_plant(ns, comp)
     n_plant = plant.n
     q_dims = (ns.sub1.q, ns.sub2.q)
 
@@ -396,9 +378,7 @@ def run_scenario(ns: NetworkedSystem, comp: Compensator | ObserverCompensator | 
 
     times = np.concatenate(all_t) if all_t else np.zeros(0)
     Xp = np.vstack(all_x) if all_x else np.zeros((0, n_plant))
-    phi_cols = Xp[:, :n_phi] if n_phi else np.zeros((Xp.shape[0], 0))
-    x_cols = Xp[:, x_slice]
-    traj = Trajectory(times=times, states=x_cols, comp_states=phi_cols,
+    traj = Trajectory(times=times, states=Xp[:, x_slice], comp_states=Xp[:, phi_slice],
                       outputs=np.vstack(all_y) if all_y else np.zeros((0, ns.q)),
                       inputs=np.vstack(all_yd) if all_yd else np.zeros((0, ns.q)),
                       h=h * store, diverged=diverged,

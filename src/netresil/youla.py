@@ -24,7 +24,6 @@ and certifies the result through closed-loop eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -79,10 +78,20 @@ def zero_parameter(sub: Subsystem) -> StateSpace:
 def realize_controller(sub: Subsystem, yc: YoulaController) -> StateSpace:
     """State-space controller y -> u with states (xi, x_Q)."""
     yc.validate(sub)
-    A, B, C = sub.A, sub.B, sub.C
-    F, H, Q = yc.F, yc.H, yc.Q
+    return _observer_controller(sub.A, sub.B, sub.C, yc.F, yc.H, yc.Q)
+
+
+def _observer_controller(A, B, C, F, H, Q: StateSpace) -> StateSpace:
+    """Observer-based controller y -> u around the free parameter Q.
+
+    Every stabilizing controller of (A, B, C) has this form (Zhou, Doyle
+    & Glover, Robust and Optimal Control, 1996, ch. 12). Validation is the
+    caller's: the integrator-augmented grid trackers cannot share
+    :meth:`YoulaController.validate`, because their augmented A - HC keeps
+    the integrator's zero eigenvalues.
+    """
     Aq, Bq, Cq, Dq = Q.A, Q.B, Q.C, Q.D
-    n, nq = sub.n, Q.n
+    nq = Q.n
     Ak = np.block([
         [A + B @ F - H @ C - B @ Dq @ C, B @ Cq],
         [-Bq @ C, Aq],
@@ -101,8 +110,6 @@ class GeneralizedPlant:
     """Closed node (plant plus nominal observer controller) seen from the
     coupling input d and the free input u~.
 
-    ``aug_*`` give the node matrices augmented with the nominal
-    controller state, stacked over (x, xi);
     ``sigma_dz`` / ``sigma_uz`` / ``sigma_dy`` are the factor realizations
     of the affine decomposition delta(Q) = sigma_dz + Q sigma_uz sigma_dy
     for controllers realized by :func:`realize_controller`.
@@ -111,28 +118,6 @@ class GeneralizedPlant:
     sub: Subsystem
     F: np.ndarray
     H: np.ndarray
-
-    @cached_property
-    def aug_A(self) -> np.ndarray:
-        A, B, C = self.sub.A, self.sub.B, self.sub.C
-        return np.block([[A, B @ self.F],
-                         [self.H @ C, A + B @ self.F - self.H @ C]])
-
-    @cached_property
-    def aug_B(self) -> np.ndarray:
-        return np.vstack([self.sub.B, np.zeros_like(self.sub.B)])
-
-    @cached_property
-    def aug_J(self) -> np.ndarray:
-        return np.vstack([self.sub.J, np.zeros_like(self.sub.J)])
-
-    @cached_property
-    def aug_S(self) -> np.ndarray:
-        return np.hstack([self.sub.S, np.zeros_like(self.sub.S)])
-
-    @cached_property
-    def aug_C(self) -> np.ndarray:
-        return np.hstack([self.sub.C, np.zeros_like(self.sub.C)])
 
     def sigma_dz(self) -> StateSpace:
         """Coupling-to-interaction map of the nominally controlled node (Q = 0)."""
@@ -262,8 +247,7 @@ def destabilizer_search(ns: NetworkedSystem,
                         gains1: tuple[np.ndarray, np.ndarray] | None = None,
                         gains2: tuple[np.ndarray, np.ndarray] | None = None,
                         omega_grid: np.ndarray | None = None,
-                        ladder: int = 20,
-                        seed: int = 0) -> DestabilizerResult:
+                        ladder: int = 20) -> DestabilizerResult:
     """Search for a locally stabilizing controller on node 2 that
     destabilizes the interconnection (node 1 keeps its nominal controller).
 
@@ -274,7 +258,6 @@ def destabilizer_search(ns: NetworkedSystem,
     accepts. Deterministic: lowest frequency first, then smallest ladder
     index, + before -.
     """
-    del seed  # sampling-free; kept for interface stability
     if not (ns.sub1.siso and ns.sub2.siso):
         raise ValueError("destabilizer_search requires scalar channels")
     if is_cascade(ns).is_cascade:

@@ -11,8 +11,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from netresil.compensator import (attach_compensator, cascade_reference,
-                                  performance_bound, synthesize_compensator,
-                                  verify_triangular)
+                                  compensated_plant, performance_bound,
+                                  synthesize_compensator, verify_triangular)
 from netresil.lti import StateSpace, eval_frequency, is_hurwitz, spectral_abscissa
 from netresil.network import close_local_controllers, interconnect
 from netresil.powergrid import (design_tracking_controllers,
@@ -162,7 +162,8 @@ def test_criterion_5_l2_performance_bound():
     pb = performance_bound(comp, ns)
     pair = (k1.realize(), k2.realize())
     q_dims = (ns.sub1.q, ns.sub2.q)
-    loop_c = closed_tracking_loop(attach_compensator(ns, comp), pair, q_dims)
+    plant_c, _, x_c = compensated_plant(ns, comp)
+    loop_c = closed_tracking_loop(plant_c, pair, q_dims)
     loop_x = closed_tracking_loop(cascade_reference(ns, comp), pair, q_dims)
     n = ns.n
     h = 0.9 * min(max_step(loop_c.A), max_step(loop_x.A), 1e-3 / 0.9)
@@ -173,14 +174,14 @@ def test_criterion_5_l2_performance_bound():
     for trial in range(20):
         x0 = rng.standard_normal(n)
         z0c = np.zeros(loop_c.n)
-        z0c[n:2 * n] = x0
+        z0c[x_c] = x0
         z0x = np.zeros(loop_x.n)
         z0x[:n] = x0
         T = 320.0
         for _ in range(3):
             tc = simulate(view_c, z0c, None, T=T, h=h, store_every=10)
             tx = simulate(view_x, z0x, None, T=T, h=h, store_every=10)
-            xc = Trajectory(times=tc.times, states=tc.states[:, n:2 * n],
+            xc = Trajectory(times=tc.times, states=tc.states[:, x_c],
                             comp_states=tc.states[:, :0], outputs=tc.outputs[:, :0],
                             inputs=tc.inputs, h=tc.h)
             xx = Trajectory(times=tx.times, states=tx.states[:, :n],

@@ -3,7 +3,8 @@ import pytest
 
 from netresil.compensator import (Compensator, attach_compensator,
                                   attach_observer_compensator,
-                                  cascade_reference, default_cut,
+                                  cascade_reference, compensated_plant,
+                                  default_cut,
                                   performance_bound,
                                   synthesize_compensator,
                                   synthesize_observer_compensator,
@@ -322,3 +323,20 @@ class TestObserverCompensator:
             k2 = realize_controller(ns.sub2, YoulaController(F2, H2, q2))
             worst = max(worst, spectral_abscissa(close_local_controllers(sysc, k1, k2).A))
         assert worst < 0
+
+
+class TestCompensatedPlant:
+    def test_slices_locate_phi_and_x(self, rng):
+        ns = random_networked_system(rng, 3, 2, channels=(2, 1))
+        n = ns.n
+        kinds = {None: 0, "compensator": n, "observer": n}
+        comps = {None: None, "compensator": synthesize_compensator(ns),
+                 "observer": synthesize_observer_compensator(ns)}
+        x = rng.standard_normal(n)
+        for kind, phi_width in kinds.items():
+            plant, phi, xs = compensated_plant(ns, comps[kind])
+            assert len(range(plant.n)[phi]) == phi_width
+            assert len(range(plant.n)[xs]) == n
+            state = np.zeros(plant.n)
+            state[xs] = x
+            assert np.allclose(plant.C @ state, ns.output_map() @ x, rtol=1e-12, atol=1e-12)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from netresil.compensator import attach_compensator, synthesize_compensator
-from netresil.lti import spectral_abscissa
+from netresil.lti import StateSpace, spectral_abscissa
 from netresil.network import CascadeVerdict, interconnect, is_cascade, is_weakly_resilient
 from netresil.powergrid import (GeneratorParams, GridModel, build_generator,
                                 build_network, design_tracking_controllers,
                                 find_destabilizing_attack, generator_matrices,
                                 grid_network, load_reduced_admittance)
+from netresil.sampling import random_stable_statespace
 from netresil.simulate import (ReferenceSignal, Scenario, closed_tracking_loop,
                                run_scenario)
 
@@ -142,6 +144,27 @@ class TestTrackingDesign:
             plant = interconnect(ns)
             loop = closed_tracking_loop(plant, (k1.realize(), k2.realize()), (3, 2))
             assert spectral_abscissa(loop.A) < 0
+
+    def test_tracker_separation_spectrum(self):
+        # local loop spectrum = eig(A_a - B_a [Kx Ke]) + eig(A - L C) + eig(A_Q)
+        rng = np.random.default_rng(606)
+        for seed in range(5):
+            _, _, k1, k2, _, _ = grid_network(seed)
+            for t in (k1, k2):
+                n, m, qd = t.A.shape[0], t.B.shape[1], t.C.shape[0]
+                A_a = np.block([[t.A, np.zeros((n, qd))], [t.C, np.zeros((qd, qd))]])
+                B_a = np.vstack([t.B, np.zeros((qd, m))])
+                for gain in (1.0, 30.0, 300.0):
+                    Q = random_stable_statespace(rng, 2, m=qd, q=m, gain=gain, min_margin=0.2)
+                    loop = closed_tracking_loop(StateSpace(t.A, t.B, t.C), [t.realize(Q)], [qd])
+                    got = np.linalg.eigvals(loop.A)
+                    want = np.concatenate([
+                        np.linalg.eigvals(A_a - B_a @ np.hstack([t.Kx, t.Ke])),
+                        np.linalg.eigvals(t.A - t.L @ t.C),
+                        np.linalg.eigvals(Q.A)])
+                    cost = np.abs(got[:, None] - want[None, :]) / np.maximum(1.0, np.abs(want))
+                    rows, cols = linear_sum_assignment(cost)
+                    assert cost[rows, cols].max() <= 1e-6, f"seed {seed}, gain {gain}"
 
     def test_supervisory_gain_stabilizes_grid(self):
         from netresil.synthesis import design_theta

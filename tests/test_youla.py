@@ -139,17 +139,6 @@ class TestLocalMapDelta:
         # sigma_dy keeps the feedthrough route alive
         assert np.abs(dy).max() > 0.1 * abs(node.Dz[0, 0])
 
-    def test_augmented_blocks_shapes(self, node, gains):
-        F, H = gains
-        gp = GeneralizedPlant(node, F, H)
-        n = node.n
-        assert gp.aug_A.shape == (2 * n, 2 * n)
-        assert np.array_equal(gp.aug_A[:n, :n], node.A)
-        assert np.array_equal(gp.aug_A[:n, n:], node.B @ F)
-        assert np.array_equal(gp.aug_A[n:, :n], H @ node.C)
-        assert np.array_equal(gp.aug_B, np.vstack([node.B, np.zeros((n, 1))]))
-        assert np.array_equal(gp.aug_S, np.hstack([node.S, np.zeros((1, n))]))
-
 
 class TestAllPass:
     def test_fit_minus_one(self):
