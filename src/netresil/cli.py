@@ -11,7 +11,8 @@ norms          H-infinity norm of the interconnected network
 
 Exit codes: check 0 resilient / 2 not resilient / 3 unknown;
 compensate 4 on nonzero coupling feedthrough, 5 on verification failure;
-norms 5 on an unstable network; 1 on malformed input anywhere.
+norms 5 on an unstable network; 1 on malformed input or an invalid
+flag value anywhere, reported as a one-line ``error: ...`` on stderr.
 """
 
 from __future__ import annotations
@@ -153,7 +154,9 @@ def cmd_norms(args) -> int:
         _dump(payload, os.path.join(out, "norms.json"))
         return 5
     sig = np.linalg.svd(eval_frequency(plant, grid).values, compute_uv=False)[:, 0]
-    payload.update({"hinf_norm": res.norm, "peak_omega": res.peak_omega,
+    # a peak at infinite frequency (feedthrough-dominated) has no JSON number
+    peak = res.peak_omega if np.isfinite(res.peak_omega) else None
+    payload.update({"hinf_norm": res.norm, "peak_omega": peak,
                     "iterations": res.iterations, "grid_max": float(sig.max())})
     print(json.dumps(payload, indent=1))
     _dump(payload, os.path.join(out, "norms.json"))
@@ -334,6 +337,11 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return 1
         raise
+    except ValueError as exc:
+        # bad flag values and inputs the library rejects (StepSizeError,
+        # DimensionError, unsupported channel widths)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

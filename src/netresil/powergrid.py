@@ -18,6 +18,7 @@ stable free-parameter perturbation on the nominal loop.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from importlib import resources
 
@@ -30,6 +31,8 @@ from .sampling import random_stable_statespace
 from .simulate import ReferenceSignal, closed_tracking_loop
 from .synthesis import SynthesisError, solve_care
 from .youla import _observer_controller
+
+_log = logging.getLogger(__name__)
 
 PARAM_RANGES = {
     "M": (0.01, 1.0),
@@ -327,10 +330,8 @@ def grid_network(seed: int, max_resample: int = 5) -> tuple[GridModel, Networked
     """Sample a grid and design its trackers, resampling on design failure.
 
     Returns (model, network, k1, k2, reference, seed_used); the seed
-    increments on stabilizability failures, which are logged to stderr.
+    increments on stabilizability failures, which are logged as warnings.
     """
-    import sys
-
     s = seed
     for _ in range(max_resample):
         gm = GridModel.sample(s)
@@ -339,7 +340,6 @@ def grid_network(seed: int, max_resample: int = 5) -> tuple[GridModel, Networked
             k1, k2, ref = design_tracking_controllers(ns, seed=s)
             return gm, ns, k1, k2, ref, s
         except SynthesisError as exc:
-            print(f"grid seed {s}: tracker design failed ({exc}); resampling",
-                  file=sys.stderr)
+            _log.warning("grid seed %d: tracker design failed (%s); resampling", s, exc)
             s += 1
     raise SynthesisError(f"no stabilizable grid draw within {max_resample} seeds of {seed}")

@@ -2,16 +2,21 @@
 
 Classical fourth-order Runge-Kutta with a hard step-size guard
 (h |lambda|_max <= 0.1). For piecewise-constant inputs the four stages
-collapse to a precomputed affine step map, which is exactly the classical
-scheme and fast enough for million-step horizons; arbitrary input
-callables fall back to stage evaluation.
+collapse to the affine step map x+ = Phi x + Psi u, which is exactly the
+classical scheme. Its s-fold composition is read off one block-matrix
+power, [[Phi, Psi], [0, I]]^s = [[Phi^s, (sum_{j<s} Phi^j) Psi], [0, I]],
+so a run jumps from stored sample to stored sample and never forms the
+steps in between; a stride splits wherever the input changes level inside
+it, and a stride of one step is the step map itself. Divergence is checked
+at every stored sample. Arbitrary input callables fall back to stage
+evaluation, one step at a time.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,7 +176,63 @@ def max_step(A: np.ndarray) -> float:
 
 
 def _diverged(x: np.ndarray) -> bool:
-    return not np.all(np.isfinite(x)) or np.abs(x).max() > DIVERGENCE_LIMIT
+    """Some entry of x is non-finite or above DIVERGENCE_LIMIT in magnitude."""
+    # ||x||_2 bounds every entry, so one dot product settles the common case;
+    # NaN fails both comparisons
+    return not (x.dot(x) <= DIVERGENCE_LIMIT ** 2
+                or np.abs(x).max(initial=0.0) <= DIVERGENCE_LIMIT)
+
+
+def _affine_steps(Phi: np.ndarray, Psi: np.ndarray, x: np.ndarray, k0: int, k1: int,
+                  store: int, changes: Sequence[int], levels: np.ndarray,
+                  include_end: bool):
+    """Run x_{k+1} = Phi x_k + Psi u_k from step k0 to step k1.
+
+    The input is ``levels[j]`` from step ``changes[j]`` on (``changes``
+    sorted, ``changes[0] <= k0``). x_k is stored at every multiple of
+    ``store`` in [k0, k1), and at k1 when ``include_end``. Between stored
+    samples the run jumps x <- Phi^s x + S_s Psi u, S_s = sum_{j<s} Phi^j,
+    splitting the jump at level changes; the (Phi^s, S_s Psi) pair is built
+    once per jump length s, and s = 1 is (Phi, Psi) itself. A state past the
+    divergence limit ends the run unstored.
+
+    Returns (x, states, inputs, steps, diverged): x is the state reached
+    at k1 (or the first diverged one), and each stored row has its input
+    level and step.
+    """
+    n, m = Psi.shape
+    jumps = {1: (Phi, Psi)}
+    rows, level_rows, steps = [], [], []
+    j = max(bisect_right(changes, k0) - 1, 0)
+    k, drift_key, diverged = k0, None, False
+    while True:
+        if k % store == 0 and (k < k1 or include_end):
+            rows.append(x)
+            level_rows.append(j)
+            steps.append(k)
+        if k == k1:
+            break
+        nxt = min(k1, (k // store + 1) * store)
+        if j + 1 < len(changes) and changes[j + 1] < nxt:
+            nxt = changes[j + 1]
+        s = nxt - k
+        if s not in jumps:
+            aug = np.eye(n + m)
+            aug[:n, :n], aug[:n, n:] = Phi, Psi
+            power = np.linalg.matrix_power(aug, s)
+            jumps[s] = (power[:n, :n].copy(), power[:n, n:].copy())
+        if drift_key != (s, j):
+            drift, drift_key = jumps[s][1] @ levels[j], (s, j)
+        x = jumps[s][0] @ x + drift
+        k = nxt
+        while j + 1 < len(changes) and k >= changes[j + 1]:
+            j += 1
+        if _diverged(x):
+            diverged = True
+            break
+    states = np.asarray(rows, dtype=float).reshape(len(rows), n)
+    inputs = levels[np.asarray(level_rows, dtype=int)]
+    return x, states, inputs, np.asarray(steps, dtype=int), diverged
 
 
 def simulate(system: StateSpace, x0, inputs=None, T: float = 1.0, h: float = 1e-3,
@@ -180,8 +241,15 @@ def simulate(system: StateSpace, x0, inputs=None, T: float = 1.0, h: float = 1e-
 
     ``inputs`` is None (zero input), a constant vector, or a callable
     t -> u evaluated at the RK4 stage times. Divergence (non-finite state
-    or norm above 1e9) truncates the run and flags the trajectory.
+    or a state entry above 1e9 in magnitude) truncates the run and flags
+    the trajectory.
     """
+    if not 0 < h < np.inf:
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
+    if not 0 <= T < np.inf:
+        raise ValueError(f"horizon T must be non-negative and finite, got {T!r}")
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every!r}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != system.n:
         raise ValueError(f"x0 has {x0.size} entries, expected {system.n}")
@@ -189,37 +257,20 @@ def simulate(system: StateSpace, x0, inputs=None, T: float = 1.0, h: float = 1e-
         raise ValueError("x0 must be finite")
     check_step(system.A, h)
     n_steps = int(round(T / h))
-
-    u_fun: Callable | None = None
-    if inputs is None:
-        u_const = np.zeros(system.m)
-    elif callable(inputs):
-        u_const, u_fun = None, inputs
-    else:
-        u_const = np.asarray(inputs, dtype=float).reshape(-1)
-        if u_const.size != system.m:
-            raise ValueError("constant input width mismatch")
-
-    rows_x, rows_u, rows_k = [], [], []
-    x = x0.copy()
-    diverged = False
     A, B = system.A, system.B
 
-    if u_fun is None:
+    if not callable(inputs):
+        u = np.zeros(system.m) if inputs is None else np.asarray(inputs, dtype=float).reshape(-1)
+        if u.size != system.m:
+            raise ValueError("constant input width mismatch")
         Phi, Psi = _rk4_step_maps(A, B, h)
-        drift = Psi @ u_const
-        for k in range(n_steps + 1):
-            if k % store_every == 0:
-                rows_x.append(x)
-                rows_u.append(u_const)
-                rows_k.append(k)
-            if k == n_steps:
-                break
-            x = Phi @ x + drift
-            if (k % 1000 == 999 or k == n_steps - 1) and _diverged(x):
-                diverged = True
-                break
+        _, X, U, steps, diverged = _affine_steps(Phi, Psi, x0, 0, n_steps, store_every,
+                                                 [0], u[None, :], include_end=True)
     else:
+        u_fun = inputs
+        rows_x, rows_u, rows_k = [], [], []
+        x = x0.copy()
+        diverged = False
         for k in range(n_steps + 1):
             t = k * h
             if k % store_every == 0:
@@ -236,10 +287,9 @@ def simulate(system: StateSpace, x0, inputs=None, T: float = 1.0, h: float = 1e-
             if _diverged(x):
                 diverged = True
                 break
+        X, U, steps = np.asarray(rows_x), np.asarray(rows_u), np.asarray(rows_k)
 
-    X = np.asarray(rows_x)
-    U = np.asarray(rows_u)
-    times = np.asarray(rows_k, dtype=float) * h
+    times = steps.astype(float) * h
     Y = X @ system.C.T + U @ system.D.T
     return Trajectory(times=times, states=X, comp_states=np.zeros((X.shape[0], 0)),
                       outputs=Y, inputs=U, h=h * store_every, diverged=diverged)
@@ -342,31 +392,12 @@ def run_scenario(ns: NetworkedSystem, comp: Compensator | ObserverCompensator | 
         absc = spectral_abscissa(loop.A)
         seg_reports.append(SegmentReport(t_start=k0 * h, key=key,
                                          abscissa=absc, stable=absc < 0))
-        rows_x, rows_yd, rows_k = [], [], []
-        ptr = max(bisect_right(ref_steps, k0) - 1, 0)
-        drift = Psi @ ref.levels[ptr]
-        last = (i == len(keys) - 1)
-        k = k0
-        while k < k1 or (last and k == k1):
-            while ptr + 1 < len(ref_steps) and k >= ref_steps[ptr + 1]:
-                ptr += 1
-                drift = Psi @ ref.levels[ptr]
-            if k % store == 0:
-                rows_x.append(x)
-                rows_yd.append(ref.levels[ptr])
-                rows_k.append(k)
-            if k == k1:
-                break
-            x = Phi @ x + drift
-            if (k % 1000 == 999 or k == k1 - 1) and _diverged(x):
-                diverged = True
-                break
-            k += 1
-        if rows_x:
-            Xseg = np.asarray(rows_x)
-            Ydseg = np.asarray(rows_yd)
+        x, Xseg, Ydseg, steps, diverged = _affine_steps(
+            Phi, Psi, x, k0, k1, store, ref_steps, ref.levels,
+            include_end=(i == len(keys) - 1))
+        if steps.size:
             out = Xseg @ loop.C.T + Ydseg @ loop.D.T
-            all_t.append(np.asarray(rows_k, dtype=float) * h)
+            all_t.append(steps.astype(float) * h)
             all_x.append(Xseg[:, :n_plant])
             all_yd.append(Ydseg)
             all_y.append(out[:, :ns.q])

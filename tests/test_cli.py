@@ -110,27 +110,91 @@ class TestSimulateCmd:
         assert "phi1" in header and "phi6" in header
 
 
+def stable_network(tmp_path) -> str:
+    from netresil.sampling import random_stable_statespace
+    from netresil.network import NetworkedSystem, Subsystem
+
+    rng = np.random.default_rng(3)
+    g1 = random_stable_statespace(rng, 2)
+    g2 = random_stable_statespace(rng, 2)
+    ns = NetworkedSystem(
+        Subsystem(g1.A, g1.B, g1.C, np.zeros((2, 1)), np.zeros((1, 2)), None),
+        Subsystem(g2.A, g2.B, g2.C, np.zeros((2, 1)), np.zeros((1, 2)), None),
+        np.eye(4))
+    path = tmp_path / "stable.json"
+    ns.to_json(path)
+    return str(path)
+
+
 class TestNorms:
     def test_stable_network(self, tmp_path):
-        rng = np.random.default_rng(3)
-        from netresil.sampling import random_stable_statespace
-        from netresil.network import NetworkedSystem, Subsystem
-
-        g1 = random_stable_statespace(rng, 2)
-        g2 = random_stable_statespace(rng, 2)
-        ns = NetworkedSystem(
-            Subsystem(g1.A, g1.B, g1.C, np.zeros((2, 1)), np.zeros((1, 2)), None),
-            Subsystem(g2.A, g2.B, g2.C, np.zeros((2, 1)), np.zeros((1, 2)), None),
-            np.eye(4))
-        path = tmp_path / "stable.json"
-        ns.to_json(path)
         out = tmp_path / "n1"
-        assert main(["norms", str(path), "--out", str(out)]) == 0
+        assert main(["norms", stable_network(tmp_path), "--out", str(out)]) == 0
         rep = json.loads((out / "norms.json").read_text())
         assert rep["hinf_norm"] >= rep["grid_max"] * (1 - 1e-9)
 
     def test_unstable_exit_five(self, fixtures, tmp_path):
         assert main(["norms", fixtures["cascade"], "--out", str(tmp_path / "n2")]) == 5
+
+    def test_infinite_peak_frequency_written_as_null(self, tmp_path, monkeypatch):
+        """A feedthrough-dominated norm peaks at omega = inf; the report must
+        stay valid JSON. The interconnected plant is strictly proper, so the
+        result of such a system is substituted for the network's."""
+        from netresil import cli
+        from netresil.synthesis import hinf_norm
+
+        feedthrough = hinf_norm(StateSpace(-1, 1, -1, 1))     # s / (s + 1)
+        assert feedthrough.peak_omega == np.inf
+        monkeypatch.setattr(cli, "hinf_norm", lambda plant, tol: feedthrough)
+        out = tmp_path / "n3"
+        assert main(["norms", stable_network(tmp_path), "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        rep = json.loads((out / "norms.json").read_text(), parse_constant=reject)
+        assert rep["peak_omega"] is None
+        assert rep["hinf_norm"] == feedthrough.norm
+
+
+class TestInputBoundary:
+    """Invalid flag values and unsupported inputs exit 1 with one error line."""
+
+    def _one_error_line(self, capsys):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        return err[0]
+
+    @pytest.mark.parametrize("flags, word", [(["--h", "0"], "step"),
+                                             (["--store-every", "0"], "store_every"),
+                                             (["--T", "-5"], "horizon")])
+    def test_simulate_bad_flag(self, fixtures, tmp_path, capsys, flags, word):
+        assert main(["simulate", fixtures["cascade"], *flags,
+                     "--out", str(tmp_path / "b")]) == 1
+        assert word in self._one_error_line(capsys)
+
+    def test_mimo_attack_search(self, fixtures, tmp_path, capsys):
+        assert main(["attack-search", fixtures["mimo"], "--out", str(tmp_path / "b")]) == 1
+        assert "scalar channels" in self._one_error_line(capsys)
+
+    def test_mismatched_compensator(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert main(["compensate", fixtures["dense"], "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", fixtures["mimo"], "--compensator",
+                     str(out / "compensator.json"), "--out", str(out)]) == 1
+        self._one_error_line(capsys)
+
+    def test_step_guard_error(self, fixtures, tmp_path, capsys, monkeypatch):
+        from netresil import cli
+        from netresil.simulate import StepSizeError
+
+        def refuse(*args, **kwargs):
+            raise StepSizeError("h=1 too large")
+
+        monkeypatch.setattr(cli, "simulate", refuse)
+        assert main(["simulate", fixtures["cascade"], "--out", str(tmp_path / "b")]) == 1
+        assert "too large" in self._one_error_line(capsys)
 
 
 class TestGridDemo:

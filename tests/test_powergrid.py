@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -183,6 +185,25 @@ class TestTrackingDesign:
             assert is_cascade(ns) is CascadeVerdict.NONE
             assert k1.local_abscissa() < 0 and k2.local_abscissa() < 0
         assert resampled == 0
+
+    def test_resample_is_logged_not_printed(self, monkeypatch, caplog, capsys):
+        from netresil import powergrid
+        from netresil.synthesis import SynthesisError
+
+        design = powergrid.design_tracking_controllers
+
+        def fail_first_seed(ns, seed=0, **kwargs):
+            if seed == 0:
+                raise SynthesisError("not stabilizable")
+            return design(ns, seed=seed, **kwargs)
+
+        monkeypatch.setattr(powergrid, "design_tracking_controllers", fail_first_seed)
+        with caplog.at_level(logging.WARNING, logger="netresil.powergrid"):
+            *_, used = grid_network(0)
+        assert used == 1
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "grid seed 0" in caplog.records[0].getMessage()
+        assert capsys.readouterr().err == ""
 
 
 class TestAttackAndProtection:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from netresil.compensator import synthesize_compensator
+from netresil.compensator import compensated_plant, synthesize_compensator
 from netresil.lti import StateSpace
-from netresil.powergrid import design_tracking_controllers
+from netresil.powergrid import design_tracking_controllers, grid_network
 from netresil.sampling import random_networked_system
-from netresil.simulate import (DivergenceError, ReferenceSignal, Scenario,
-                               StepSizeError, closed_tracking_loop, l2_norm,
-                               max_step, run_scenario, simulate)
+from netresil.simulate import (DIVERGENCE_LIMIT, DivergenceError, ReferenceSignal,
+                               Scenario, StepSizeError, _rk4_step_maps,
+                               closed_tracking_loop, l2_norm, max_step,
+                               run_scenario, simulate)
 
 
 def decay():
@@ -47,6 +48,27 @@ class TestSimulate:
         t2 = simulate(g, [0.0], lambda t: np.array([2.0]), T=2.0, h=1e-3)
         assert np.abs(t1.states - t2.states).max() <= 1e-12
         assert t1.states[-1, 0] == pytest.approx(2.0 * (1 - np.exp(-2.0)), abs=1e-6)
+
+    def test_invalid_step_horizon_stride_rejected(self):
+        for kwargs in ({"h": 0.0}, {"h": -1e-3}, {"T": -5.0}, {"store_every": 0}):
+            with pytest.raises(ValueError):
+                simulate(decay(), [1.0], None, **kwargs)
+
+    def test_strided_divergence_stops_within_one_stride(self):
+        g = StateSpace([[0.5, 1.0], [0.0, 0.3]], [[0.0], [1.0]], [[1.0, 0.0]], 0)
+        h, store, u = 1e-2, 7, np.array([0.5])
+        traj = simulate(g, [1.0, 0.0], u, T=80.0, h=h, store_every=store)
+        assert traj.diverged
+        assert np.all(np.isfinite(traj.states))
+        assert np.abs(traj.states).max() <= DIVERGENCE_LIMIT
+        # first step at which the per-step map leaves the finite range
+        Phi, Psi = _rk4_step_maps(g.A, g.B, h)
+        x, k_cross = np.array([1.0, 0.0]), 0
+        while np.abs(x).max() <= DIVERGENCE_LIMIT:
+            x = Phi @ x + Psi @ u
+            k_cross += 1
+        k_last = int(round(traj.times[-1] / h))
+        assert k_cross - store <= k_last < k_cross
 
     def test_stable_decay_bound(self, rng):
         from netresil.sampling import random_stable_statespace
@@ -118,14 +140,13 @@ class TestRunScenario:
         sc = Scenario(segments=((0.0, "k"),), horizon=5.0, x0=x0, h=1e-3,
                       reference=ReferenceSignal.constant(level))
         traj, reports = run_scenario(ns, comp, sc, {"k": pair})
-        loop = closed_tracking_loop(
-            __import__("netresil").compensator.attach_compensator(ns, comp),
-            pair, (ns.sub1.q, ns.sub2.q))
+        plant, phi, xs = compensated_plant(ns, comp)
+        loop = closed_tracking_loop(plant, pair, (ns.sub1.q, ns.sub2.q))
         z0 = np.zeros(loop.n)
-        z0[ns.n:2 * ns.n] = x0
+        z0[xs] = x0
         ref = simulate(loop, z0, level, T=5.0, h=1e-3)
-        assert np.array_equal(traj.states, ref.states[:, ns.n:2 * ns.n])
-        assert np.array_equal(traj.comp_states, ref.states[:, :ns.n])
+        assert np.array_equal(traj.states, ref.states[:, xs])
+        assert np.array_equal(traj.comp_states, ref.states[:, phi])
         assert len(reports) == 1 and reports[0].stable
 
     def test_segments_swap_and_carryover(self, setup, rng):
@@ -190,3 +211,59 @@ class TestRunScenario:
                      x0=np.zeros(2))
         with pytest.raises(ValueError):
             Scenario(segments=((0.0, "a"),), horizon=-1.0, x0=np.zeros(2))
+
+
+def per_step_scenario(ns, comp, sc, controllers):
+    """run_scenario spelled out one RK4 step at a time: stored times and
+    plant-side states (compensator state first, as compensated_plant lays
+    them out)."""
+    plant, _, xs = compensated_plant(ns, comp)
+    h, store = sc.h, sc.store_every
+    n_steps = int(round(sc.horizon / h))
+    bounds = [int(round(t / h)) for t, _ in sc.segments] + [n_steps]
+    changes = [int(round(t / h)) for t in sc.reference.times] + [n_steps]
+    x_plant = np.zeros(plant.n)
+    x_plant[xs] = sc.x0
+    ctrl = None
+    times, rows = [], []
+    for (_, key), k0, k1 in zip(sc.segments, bounds, bounds[1:]):
+        loop = closed_tracking_loop(plant, controllers[key], (ns.sub1.q, ns.sub2.q))
+        Phi, Psi = _rk4_step_maps(loop.A, loop.B, h)
+        x = np.concatenate([x_plant, np.zeros(loop.n - plant.n) if ctrl is None else ctrl])
+        for level, a, b in zip(sc.reference.levels, changes, changes[1:]):
+            drift = Psi @ level
+            for k in range(max(a, k0), min(b, k1)):
+                if k % store == 0:
+                    times.append(k * h)
+                    rows.append(x[:plant.n])
+                x = Phi @ x + drift
+        x_plant, ctrl = x[:plant.n], x[plant.n:]
+    if n_steps % store == 0:
+        times.append(n_steps * h)
+        rows.append(x_plant)
+    return np.array(times), np.array(rows)
+
+
+def test_strided_engine_matches_per_step_oracle():
+    """Grid compensated tracking loop, attack at 200 s and recovery at
+    1000 s, 100 s reference dwell, one stored sample per 100 steps; at
+    h = 0.97e-3 every change point falls inside a stride."""
+    _, ns, k1, k2, _, seed = grid_network(0)
+    comp = synthesize_compensator(ns)
+    ka1, ka2, _ = design_tracking_controllers(ns, r_scale=1e4, seed=seed)
+    controllers = {"nominal": (k1.realize(), k2.realize()),
+                   "attacked": (ka1.realize(), ka2.realize())}
+    horizon = 1100.0
+    rng = np.random.default_rng(1)
+    r1 = ReferenceSignal.random_levels(rng, horizon, 100.0, ns.sub1.q)
+    r2 = ReferenceSignal.random_levels(rng, horizon, 100.0, ns.sub2.q)
+    sc = Scenario(segments=((0.0, "nominal"), (200.0, "attacked"), (1000.0, "nominal")),
+                  horizon=horizon, x0=np.zeros(ns.n), h=0.97e-3, store_every=100,
+                  reference=ReferenceSignal(r1.times, np.hstack([r1.levels, r2.levels])))
+    traj, _ = run_scenario(ns, comp, sc, controllers)
+    times, rows = per_step_scenario(ns, comp, sc, controllers)
+    _, phi, xs = compensated_plant(ns, comp)
+    assert not traj.diverged
+    assert np.array_equal(traj.times, times)
+    for got, want in ((traj.states, rows[:, xs]), (traj.comp_states, rows[:, phi])):
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
