@@ -10,9 +10,10 @@ grid-demo      five-generator experiment: tracking, attacks, recovery
 norms          H-infinity norm of the interconnected network
 
 Exit codes: check 0 resilient / 2 not resilient / 3 unknown;
-compensate 4 on nonzero coupling feedthrough, 5 on verification failure;
-norms 5 on an unstable network; 1 on malformed input or an invalid
-flag value anywhere, reported as a one-line ``error: ...`` on stderr.
+4 on nonzero coupling feedthrough wherever a compensator is built or
+attached; compensate 5 on a synthesis or verification failure; norms 5 on
+an unstable network; 1 on malformed input, an invalid flag value or any
+other synthesis failure. Every error is one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .compensator import (Compensator, attach_compensator, compensated_plant,
-                          performance_bound, synthesize_compensator,
-                          synthesize_observer_compensator, verify_triangular)
+from .compensator import (Compensator, FeedthroughError, attach_compensator,
+                          compensated_plant, performance_bound,
+                          synthesize_compensator, synthesize_observer_compensator,
+                          verify_triangular)
 from .export import plot_commands, plot_outputs, trajectory_csv
 from .lti import default_grid, eval_frequency, spectral_abscissa
 from .network import NetworkedSystem, interconnect, is_cascade, is_weakly_resilient
@@ -38,11 +40,15 @@ from .synthesis import SynthesisError, hinf_norm
 from .youla import destabilizer_search
 
 
-def _load_network(path: str) -> NetworkedSystem:
+def _load(kind, path: str, what: str):
     try:
-        return NetworkedSystem.from_json(path)
+        return kind.from_json(path)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        raise SystemExit(f"error: cannot load network from {path}: {exc}") from exc
+        raise SystemExit(f"error: cannot load {what} from {path}: {exc}") from exc
+
+
+def _load_network(path: str) -> NetworkedSystem:
+    return _load(NetworkedSystem, path, "network")
 
 
 def _ensure_out(args) -> str:
@@ -80,13 +86,7 @@ def cmd_check(args) -> int:
 def cmd_compensate(args) -> int:
     ns = _load_network(args.system)
     out = _ensure_out(args)
-    try:
-        comp = synthesize_compensator(ns, theta_policy=args.theta_policy)
-    except SynthesisError as exc:
-        if "feedthrough" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        raise
+    comp = synthesize_compensator(ns, theta_policy=args.theta_policy)
     comp.to_json(os.path.join(out, "compensator.json"))
     print(f"wrote {os.path.join(out, 'compensator.json')} (cut={comp.cut})")
     sysc = attach_compensator(ns, comp)
@@ -121,7 +121,7 @@ def cmd_attack_search(args) -> int:
 def cmd_simulate(args) -> int:
     ns = _load_network(args.system)
     out = _ensure_out(args)
-    comp = Compensator.from_json(args.compensator) if args.compensator else None
+    comp = _load(Compensator, args.compensator, "compensator") if args.compensator else None
     plant, phi, xs = compensated_plant(ns, comp)
     rng = np.random.default_rng(args.seed)
     x0 = np.zeros(plant.n)
@@ -144,22 +144,19 @@ def cmd_norms(args) -> int:
     ns = _load_network(args.system)
     out = _ensure_out(args)
     plant = interconnect(ns)
-    absc = spectral_abscissa(plant.A)
-    grid = default_grid()
-    payload = {"spectral_abscissa": absc}
-    try:
-        res = hinf_norm(plant, tol=args.tol if args.tol is not None else 1e-4)
-    except SynthesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _dump(payload, os.path.join(out, "norms.json"))
-        return 5
-    sig = np.linalg.svd(eval_frequency(plant, grid).values, compute_uv=False)[:, 0]
+    path = os.path.join(out, "norms.json")
+    payload = {"spectral_abscissa": spectral_abscissa(plant.A)}
+    # written first, so an unstable network (exit 5) still reports its abscissa
+    _dump(payload, path)
+    res = hinf_norm(plant, tol=args.tol if args.tol is not None else 1e-4)
+    sig = np.linalg.svd(eval_frequency(plant, default_grid()).values, compute_uv=False)[:, 0]
     # a peak at infinite frequency (feedthrough-dominated) has no JSON number
     peak = res.peak_omega if np.isfinite(res.peak_omega) else None
     payload.update({"hinf_norm": res.norm, "peak_omega": peak,
-                    "iterations": res.iterations, "grid_max": float(sig.max())})
+                    "iterations": res.iterations, "converged": res.converged,
+                    "grid_max": float(sig.max())})
     print(json.dumps(payload, indent=1))
-    _dump(payload, os.path.join(out, "norms.json"))
+    _dump(payload, path)
     return 0
 
 
@@ -337,6 +334,12 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return 1
         raise
+    except FeedthroughError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except SynthesisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5 if args.command in ("compensate", "norms") else 1
     except ValueError as exc:
         # bad flag values and inputs the library rejects (StepSizeError,
         # DimensionError, unsupported channel widths)

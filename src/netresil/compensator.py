@@ -40,6 +40,43 @@ class Compensator:
     eta: int
     cut: str = "1to2"
 
+    def __post_init__(self):
+        for attr in ("Lambda_", "Gamma", "Xi", "Theta"):
+            M = np.asarray(getattr(self, attr), dtype=float)
+            if M.ndim != 2:
+                raise ValueError(f"compensator {attr.rstrip('_')} must be a matrix, "
+                                 f"got shape {M.shape}")
+            if not np.all(np.isfinite(M)):
+                raise ValueError(f"compensator {attr.rstrip('_')} contains non-finite entries")
+            object.__setattr__(self, attr, M)
+        if self.cut not in ("1to2", "2to1"):
+            raise ValueError(f"compensator cut must be '1to2' or '2to1', got {self.cut!r}")
+        self._check_shapes(f"shapes disagree with eta={self.eta}")
+
+    def _check_shapes(self, what: str, p: int | None = None, q: int | None = None,
+                      r: int | None = None) -> None:
+        """Raise naming every matrix whose shape differs from the layout
+        Lambda (eta, eta), Gamma (eta, p), Xi (q, eta), Theta (r, eta);
+        a dimension given as None is not checked."""
+        eta = self.eta
+        want = {"Lambda": (self.Lambda_, (eta, eta)), "Gamma": (self.Gamma, (eta, p)),
+                "Xi": (self.Xi, (q, eta)), "Theta": (self.Theta, (r, eta))}
+        bad = []
+        for name, (M, shape) in want.items():
+            if any(d is not None and d != got for d, got in zip(shape, M.shape)):
+                expected = ", ".join("*" if d is None else str(d) for d in shape)
+                bad.append(f"{name} is {M.shape}, expected ({expected})")
+        if bad:
+            raise ValueError(f"compensator {what}: " + "; ".join(bad))
+
+    def check_fits(self, ns: NetworkedSystem) -> None:
+        """Raise ValueError unless the matrices fit the network's state,
+        interaction, output and supervisory-input dimensions."""
+        if self.eta != ns.n:
+            raise ValueError(f"compensator order {self.eta} does not match n={ns.n}")
+        self._check_shapes(f"does not fit the network (n={ns.n})",
+                           p=ns.p_total, q=ns.q, r=ns.R.shape[1])
+
     def to_dict(self) -> dict:
         return {"Lambda": self.Lambda_.tolist(), "Gamma": self.Gamma.tolist(),
                 "Xi": self.Xi.tolist(), "Theta": self.Theta.tolist(),
@@ -76,10 +113,15 @@ class PerformanceBound:
     peak_omega: float
 
 
+class FeedthroughError(SynthesisError):
+    """The network has nonzero coupling feedthrough Dz, which the
+    compensator construction excludes."""
+
+
 def _require_zero_feedthrough(ns: NetworkedSystem) -> None:
     if np.any(ns.sub1.Dz) or np.any(ns.sub2.Dz):
-        raise SynthesisError("compensator synthesis requires zero coupling "
-                             "feedthrough (Dz = 0) in both subsystems")
+        raise FeedthroughError("compensator synthesis requires zero coupling "
+                               "feedthrough (Dz = 0) in both subsystems")
 
 
 def _gamma_matrix(ns: NetworkedSystem, cut: str) -> np.ndarray:
@@ -149,10 +191,9 @@ def attach_compensator(ns: NetworkedSystem, comp: Compensator) -> StateSpace:
         y      = -dg(C) phi + dg(C) x
     """
     _require_zero_feedthrough(ns)
+    comp.check_fits(ns)
     sigma = interconnect(ns)
     n = ns.n
-    if comp.eta != n:
-        raise ValueError(f"compensator order {comp.eta} does not match n={n}")
     dgS = ns.interaction_map()
     dgC = ns.output_map()
     A = np.block([
@@ -277,6 +318,7 @@ def attach_observer_compensator(ns: NetworkedSystem,
     """Compensated plant with observer, state (phi, xhat, x) over (u -> y)."""
     _require_zero_feedthrough(ns)
     comp = oc.base
+    comp.check_fits(ns)
     sigma = interconnect(ns)
     n = ns.n
     dgS = ns.interaction_map()

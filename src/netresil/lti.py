@@ -9,6 +9,11 @@ holding a continuous-time realization
 with plain float64 arrays. Pure-gain systems (n = 0) are first class.
 All operations return new objects; instances are immutable after
 construction and safe to share across threads.
+
+Frequency responses come from one eigendecomposition of A per grid: the
+modal resolvent (C V) diag(1 / (jw - lam)) (V^-1 B) + D, broadcast over
+every point. Points within the Bauer-Fike radius of a pole are flagged and
+solved directly, as is the whole grid when A is defective or nearly so.
 """
 
 from __future__ import annotations
@@ -18,6 +23,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+
+# Above this eigenvector condition number the modal resolvent can lose more
+# than 1e-10 of the response scale, so every point is solved directly.
+_MAX_EIGVEC_COND = 1e6
 
 
 class DimensionError(ValueError):
@@ -134,8 +144,10 @@ class FrequencyResponse:
     """Sampled response G(j w) on an increasing frequency grid.
 
     ``values[k]`` is the complex q x m matrix at ``omegas[k]``;
-    ``ill_conditioned[k]`` flags grid points where the resolvent solve had
-    an estimated condition number above 1e12 (near-pole evaluation).
+    ``ill_conditioned[k]`` flags grid points where j omegas[k] lies within
+    the Bauer-Fike radius 1e-12 max(1, ||A||_F) cond(V) of an eigenvalue of
+    A (V the eigenvector matrix), i.e. points that may sit on a pole; their
+    values come from a direct solve (least squares where singular).
     """
 
     omegas: np.ndarray
@@ -268,7 +280,16 @@ def feedback_interconnect(plant: StateSpace, controller: StateSpace,
 
 
 def eval_frequency(g: StateSpace, omegas) -> FrequencyResponse:
-    """Evaluate C (jwI - A)^-1 B + D on a grid (LU solve per point).
+    """Evaluate C (jwI - A)^-1 B + D on a grid through the modal form of A.
+
+    One eigendecomposition A = V diag(lam) V^-1 serves the whole grid:
+    G(jw) = (C V) diag(1 / (jw - lam)) (V^-1 B) + D, one broadcast over
+    every point. A point is flagged when jw lies within the Bauer-Fike
+    radius 1e-12 max(1, ||A||_F) cond(V) of an eigenvalue of A, and is
+    then solved directly (least squares where jwI - A is singular). Every
+    point is solved directly when cond(V) is not finite or exceeds
+    ``_MAX_EIGVEC_COND`` (defective or nearly defective A); the radius then
+    uses that bound.
 
     Conjugate symmetry G(-jw) = conj(G(jw)) holds because the realization
     is real; only nonnegative frequencies are evaluated.
@@ -278,24 +299,38 @@ def eval_frequency(g: StateSpace, omegas) -> FrequencyResponse:
     if g.n == 0:
         vals = np.broadcast_to(g.D.astype(complex), (k, g.q, g.m)).copy()
         return FrequencyResponse(omegas, vals, np.zeros(k, dtype=bool))
-    eye = np.eye(g.n)
-    M = 1j * omegas[:, None, None] * eye - g.A
-    # one-norm condition estimate per grid point flags near-pole solves
+    s = 1j * omegas
+    lam, V = np.linalg.eig(g.A)
     with np.errstate(all="ignore"):
-        conds = np.linalg.cond(M, p=None)
-    flags = ~np.isfinite(conds) | (conds > 1e12)
-    try:
-        X = np.linalg.solve(M, np.broadcast_to(g.B.astype(complex), (k, g.n, g.m)))
-    except np.linalg.LinAlgError:
-        # singular at isolated points: fall back to lstsq per flagged point
-        X = np.empty((k, g.n, g.m), dtype=complex)
-        for i in range(k):
-            try:
-                X[i] = np.linalg.solve(M[i], g.B)
-            except np.linalg.LinAlgError:
-                X[i] = np.linalg.lstsq(M[i], g.B, rcond=None)[0]
-                flags[i] = True
-    vals = g.C @ X + g.D
+        cond_v = float(np.linalg.cond(V))
+    modal = np.isfinite(cond_v) and cond_v <= _MAX_EIGVEC_COND
+    radius = 1e-12 * max(1.0, np.linalg.norm(g.A)) * (cond_v if modal else _MAX_EIGVEC_COND)
+    gap = s[:, None] - lam
+    flags = np.abs(gap).min(axis=1) <= radius
+    if modal:
+        gap[flags] = 1.0            # replaced by the direct solve below
+        r = 1.0 / gap
+        CV = g.C @ V
+        W = np.linalg.solve(V, g.B)
+        # scale the narrower factor: the (k, n, min(q, m)) intermediate
+        if g.m <= g.q:
+            vals = CV @ (r[:, :, None] * W)
+        else:
+            vals = (CV * r[:, None, :]) @ W
+        vals += g.D
+        direct = np.flatnonzero(flags)
+    else:
+        vals = np.empty((k, g.q, g.m), dtype=complex)
+        direct = range(k)
+    eye = np.eye(g.n)
+    for i in direct:
+        M = s[i] * eye - g.A
+        try:
+            X = np.linalg.solve(M, g.B)
+        except np.linalg.LinAlgError:
+            X = np.linalg.lstsq(M, g.B.astype(complex), rcond=None)[0]
+            flags[i] = True
+        vals[i] = g.C @ X + g.D
     return FrequencyResponse(omegas, vals, flags)
 
 

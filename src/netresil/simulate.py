@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 
 from .compensator import Compensator, ObserverCompensator, compensated_plant
 from .lti import StateSpace, blockdiag, feedback_interconnect, spectral_abscissa
@@ -436,3 +437,17 @@ def l2_norm(traj: Trajectory, signal: str = "states") -> L2Report:
     peak = float(sq.max())
     ratio = float(sq[-1] / peak) if peak > 0 else 0.0
     return L2Report(val, ratio)
+
+
+def l2_energy(system: StateSpace, x0) -> float:
+    """Exact output energy int_0^inf ||C e^(At) x0||^2 dt = x0' W x0 of the
+    autonomous response, with W the observability Gramian solving
+    A'W + WA + C'C = 0. It is the closed form that ``l2_norm`` of an
+    infinitely long run approximates. Requires a Hurwitz A.
+    """
+    absc = spectral_abscissa(system.A)
+    if absc >= 0:
+        raise ValueError(f"l2_energy requires a Hurwitz A (abscissa {absc:.3e})")
+    W = sla.solve_continuous_lyapunov(system.A.T, -system.C.T @ system.C)
+    x0 = np.asarray(x0, dtype=float)
+    return float(x0 @ W @ x0)

@@ -65,6 +65,16 @@ class TestCompensate:
     def test_feedthrough_exit_four(self, fixtures, tmp_path):
         assert main(["compensate", fixtures["dz"], "--out", str(tmp_path / "c3")]) == 4
 
+    def test_uncontrollable_supervisory_input_exit_five(self, tmp_path, capsys):
+        from netresil.network import NetworkedSystem
+
+        ns = random_networked_system(np.random.default_rng(7), 3, 3)
+        path = tmp_path / "no_r.json"
+        NetworkedSystem(ns.sub1, ns.sub2, np.zeros((ns.n, 1))).to_json(path)
+        assert main(["compensate", str(path), "--out", str(tmp_path / "c5")]) == 5
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "controllable" in err[0]
+
     def test_grid_network_through_json_pipeline(self, tmp_path):
         from netresil.powergrid import GridModel, build_network
 
@@ -132,9 +142,17 @@ class TestNorms:
         assert main(["norms", stable_network(tmp_path), "--out", str(out)]) == 0
         rep = json.loads((out / "norms.json").read_text())
         assert rep["hinf_norm"] >= rep["grid_max"] * (1 - 1e-9)
+        assert rep["converged"] is True
 
     def test_unstable_exit_five(self, fixtures, tmp_path):
         assert main(["norms", fixtures["cascade"], "--out", str(tmp_path / "n2")]) == 5
+
+    def test_unstable_report_keeps_abscissa(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "n4"
+        assert main(["norms", fixtures["cascade"], "--out", str(out)]) == 5
+        assert json.loads((out / "norms.json").read_text())["spectral_abscissa"] >= 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "Hurwitz" in err[0]
 
     def test_infinite_peak_frequency_written_as_null(self, tmp_path, monkeypatch):
         """A feedthrough-dominated norm peaks at omega = inf; the report must
@@ -184,6 +202,44 @@ class TestInputBoundary:
         assert main(["simulate", fixtures["mimo"], "--compensator",
                      str(out / "compensator.json"), "--out", str(out)]) == 1
         self._one_error_line(capsys)
+
+    def test_mismatched_compensator_names_shapes(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert main(["compensate", fixtures["dense"], "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", fixtures["mimo"], "--compensator",
+                     str(out / "compensator.json"), "--out", str(out)]) == 1
+        line = self._one_error_line(capsys)
+        assert "Gamma is (6, 2), expected (6, 4)" in line
+        assert "Xi is (2, 6), expected (4, 6)" in line
+
+    def test_malformed_compensator(self, fixtures, tmp_path, capsys):
+        path = tmp_path / "comp.json"
+        path.write_text(json.dumps({"Lambda": [[-1.0]], "Gamma": [[0.0]], "Xi": [[1.0]],
+                                    "Theta": [[0.0]], "eta": 1, "cut": "sideways"}))
+        assert main(["simulate", fixtures["cascade"], "--compensator", str(path),
+                     "--out", str(tmp_path / "b")]) == 1
+        assert "cut" in self._one_error_line(capsys)
+
+    def test_compensator_on_feedthrough_network_exit_four(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert main(["compensate", fixtures["dense"], "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", fixtures["dz"], "--compensator",
+                     str(out / "compensator.json"), "--out", str(out)]) == 4
+        assert "feedthrough" in self._one_error_line(capsys)
+
+    def test_synthesis_error_elsewhere_exit_one(self, fixtures, tmp_path, capsys,
+                                                monkeypatch):
+        from netresil import cli
+        from netresil.synthesis import SynthesisError
+
+        def fail(ns):
+            raise SynthesisError("no stabilizing solution")
+
+        monkeypatch.setattr(cli, "destabilizer_search", fail)
+        assert main(["attack-search", fixtures["dense"], "--out", str(tmp_path / "b")]) == 1
+        assert "no stabilizing" in self._one_error_line(capsys)
 
     def test_step_guard_error(self, fixtures, tmp_path, capsys, monkeypatch):
         from netresil import cli

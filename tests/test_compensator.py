@@ -150,6 +150,32 @@ class TestAttach:
         assert rep.passed and rep.ordering == "both"
 
 
+class TestValidation:
+    def test_shapes_checked_against_eta(self):
+        with pytest.raises(ValueError, match=r"eta=3: Gamma is \(2, 2\), expected \(3, \*\)"):
+            Compensator(Lambda_=-np.eye(3), Gamma=np.zeros((2, 2)), Xi=np.zeros((1, 3)),
+                        Theta=np.zeros((3, 3)), eta=3)
+        with pytest.raises(ValueError, match=r"Lambda is \(3, 2\), expected \(3, 3\)"):
+            Compensator(Lambda_=np.zeros((3, 2)), Gamma=np.zeros((3, 2)), Xi=np.zeros((1, 3)),
+                        Theta=np.zeros((3, 3)), eta=3)
+
+    def test_nonfinite_and_cut_rejected(self):
+        good = dict(Lambda_=-np.eye(2), Gamma=np.zeros((2, 2)), Xi=np.zeros((2, 2)),
+                    Theta=np.zeros((2, 2)), eta=2)
+        Compensator(**good)
+        with pytest.raises(ValueError, match="non-finite"):
+            Compensator(**{**good, "Theta": np.full((2, 2), np.nan)})
+        with pytest.raises(ValueError, match="cut"):
+            Compensator(**good, cut="sideways")
+
+    def test_attach_checks_network_dimensions(self, dense_siso):
+        comp = synthesize_compensator(dense_siso)
+        narrow = Compensator(Lambda_=comp.Lambda_, Gamma=comp.Gamma, Xi=comp.Xi,
+                             Theta=comp.Theta[:1], eta=comp.eta)
+        with pytest.raises(ValueError, match=r"Theta is \(1, 6\), expected \(6, 6\)"):
+            attach_compensator(dense_siso, narrow)
+
+
 class TestPerformanceBound:
     def test_scalar_first_order(self):
         # A + R Theta = -2 (scalar), Gamma = 1: norm of 1/(s+2) is 1/2
@@ -246,7 +272,7 @@ class TestL2Bound:
         chi = tx.states[:, :n]
         assert np.abs(x - (chi + phi)).max() <= 1e-8 * max(1.0, np.abs(x).max())
 
-    def test_l2_bound_holds_with_unit_interaction_map(self, rng):
+    def test_l2_bound_holds_with_unit_interaction_map(self, rng, l2_cross_check):
         ns = random_networked_system(rng, 3, 3, normalize_s=True)
         comp = synthesize_compensator(ns)
         pb = performance_bound(comp, ns)
@@ -293,6 +319,8 @@ class TestL2Bound:
                     break
                 T *= 2.0
             assert rc.value <= (1.0 + pb.gamma) * rx.value * (1.0 + 1e-3)
+            l2_cross_check(loop_c.A, slice(n, 2 * n), tc.states, tc.h, rc.value)
+            l2_cross_check(loop_x.A, slice(0, n), tx.states, tx.h, rx.value)
 
 
 class TestObserverCompensator:

@@ -226,3 +226,78 @@ def test_series_product_property(seed, n1, n2):
     f2 = eval_frequency(g2, grid).values
     scale = max(1.0, np.abs(fs).max())
     assert np.abs(fs - f2 @ f1).max() <= 1e-9 * scale
+
+
+def per_point_response(g, omegas):
+    """Reference: one dense solve of (jwI - A) X = B per grid point, least
+    squares where the matrix is singular."""
+    out = np.empty((omegas.size, g.q, g.m), dtype=complex)
+    for i, w in enumerate(omegas):
+        M = 1j * w * np.eye(g.n) - g.A
+        try:
+            X = np.linalg.solve(M, g.B)
+        except np.linalg.LinAlgError:
+            X = np.linalg.lstsq(M, g.B.astype(complex), rcond=None)[0]
+        out[i] = g.C @ X + g.D
+    return out
+
+
+def response_deviation(got, want):
+    """Worst pointwise deviation relative to the largest ||G(jw)||_F on the
+    grid, the scale triangularity residuals and grid norms are read on."""
+    k = want.shape[0]
+    scale = np.linalg.norm(want.reshape(k, -1), axis=1).max()
+    return np.linalg.norm((got - want).reshape(k, -1), axis=1).max() / scale
+
+
+class TestEvalFrequencyOracle:
+    """The modal resolvent against per-point dense solves."""
+
+    @pytest.mark.parametrize("n, m, q", [(3, 1, 1), (12, 3, 2), (40, 2, 4),
+                                         (80, 4, 1), (120, 2, 120)])
+    def test_random_stable_systems(self, rng, n, m, q):
+        grid = default_grid()
+        for _ in range(2):
+            g = random_stable_statespace(rng, n, m, q)
+            fr = eval_frequency(g, grid)
+            assert response_deviation(fr.values, per_point_response(g, grid)) <= 1e-10
+            assert not fr.ill_conditioned.any()
+
+    def test_compensated_plant(self, rng):
+        from netresil.compensator import attach_compensator, synthesize_compensator
+        from netresil.sampling import random_networked_system
+
+        grid = default_grid()
+        for _ in range(3):
+            ns = random_networked_system(rng, 5, 6, channels=(2, 2))
+            sysc = attach_compensator(ns, synthesize_compensator(ns))
+            assert sysc.n == 2 * ns.n
+            got = eval_frequency(sysc, grid).values
+            assert response_deviation(got, per_point_response(sysc, grid)) <= 1e-10
+
+    @pytest.mark.parametrize("corner", [0.0, 1e-12])
+    def test_jordan_block_takes_direct_solves(self, rng, corner):
+        # a 5 x 5 Jordan block, exact or split onto a ring of radius 4e-3,
+        # where the modal form alone deviates by about 1e-7
+        n = 5
+        A = -np.eye(n) + np.diag(np.ones(n - 1), 1)
+        A[-1, 0] = corner
+        _, V = np.linalg.eig(A)
+        assert not np.linalg.cond(V) <= 1e6        # (nearly) defective: no modal form
+        g = StateSpace(A, rng.standard_normal((n, 2)), rng.standard_normal((2, n)), None)
+        grid = default_grid()
+        fr = eval_frequency(g, grid)
+        assert response_deviation(fr.values, per_point_response(g, grid)) <= 1e-10
+
+    def test_on_axis_pole_flagged_and_solved_directly(self, rng):
+        # poles at +-2j and a stable remainder; the grid hits w = 2 exactly
+        A = np.zeros((5, 5))
+        A[:2, :2] = [[0.0, 2.0], [-2.0, 0.0]]
+        A[2:, 2:] = random_stable_statespace(rng, 3).A
+        g = StateSpace(A, rng.standard_normal((5, 2)), rng.standard_normal((2, 5)), None)
+        grid = np.array([0.0, 0.5, 1.999, 2.0, 2.001, 10.0])
+        fr = eval_frequency(g, grid)
+        assert fr.ill_conditioned.tolist() == [False, False, False, True, False, False]
+        assert np.all(np.isfinite(fr.values))
+        want = per_point_response(g, grid)
+        assert np.abs(fr.values - want).max() <= 1e-10 * np.abs(want).max()

@@ -7,8 +7,8 @@ from netresil.powergrid import design_tracking_controllers, grid_network
 from netresil.sampling import random_networked_system
 from netresil.simulate import (DIVERGENCE_LIMIT, DivergenceError, ReferenceSignal,
                                Scenario, StepSizeError, _rk4_step_maps,
-                               closed_tracking_loop, l2_norm, max_step,
-                               run_scenario, simulate)
+                               closed_tracking_loop, l2_energy, l2_norm,
+                               max_step, run_scenario, simulate)
 
 
 def decay():
@@ -106,6 +106,15 @@ class TestL2Norm:
         traj = simulate(StateSpace(2.0, 0, 1, 0), [1.0], None, T=30.0, h=1e-2)
         with pytest.raises(DivergenceError):
             l2_norm(traj, "states")
+
+    def test_lyapunov_energy_closed_forms(self):
+        # x' = -x, y = 3x: int 9 e^(-2t) dt = 4.5
+        assert l2_energy(StateSpace(-1.0, 0, 3.0, 0), [1.0]) == pytest.approx(4.5, rel=1e-12)
+        # x1' = -x1 + x2, x2' = -2 x2 from (1, 1): x1 = 2e^-t - e^-2t
+        g = StateSpace([[-1.0, 1.0], [0.0, -2.0]], np.zeros((2, 0)), [[1.0, 0.0]], None)
+        assert l2_energy(g, [1.0, 1.0]) == pytest.approx(2.0 - 4.0 / 3.0 + 0.25, rel=1e-12)
+        with pytest.raises(ValueError):
+            l2_energy(StateSpace(0.5, 0, 1, 0), [1.0])
 
 
 class TestReferenceSignal:

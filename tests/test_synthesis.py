@@ -116,6 +116,11 @@ class TestHinfNorm:
         with pytest.raises(SynthesisError):
             hinf_norm(StateSpace(1, 1, 1, 0))
 
+    def test_identically_zero_transfer(self):
+        # B drives only the mode that C does not see
+        res = hinf_norm(StateSpace(np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[0.0, 1.0]], 0))
+        assert res.norm == 0.0 and res.converged
+
     def test_bounds_grid_max(self, rng):
         for _ in range(5):
             g = random_stable_statespace(rng, 4, 2, 2)
@@ -132,3 +137,39 @@ class TestHinfNorm:
         sig = np.linalg.svd(eval_frequency(g, grid).values, compute_uv=False)[:, 0]
         assert res.norm >= sig.max() * (1 - 1e-6)
         assert res.norm <= sig.max() * (1 + 5e-3)
+
+
+class TestHinfLevelSet:
+    @staticmethod
+    def resonance(zeta, wn, k):
+        """k / (s^2 + 2 zeta wn s + wn^2), peak k / (2 zeta sqrt(1 - zeta^2) wn^2)."""
+        return StateSpace([[0, 1], [-wn**2, -2 * zeta * wn]], [[0], [k]], [[1, 0]], 0)
+
+    def test_two_peaks_within_one_percent(self):
+        # peaks at w = 1 and w = 7 whose heights differ by about 0.6%
+        from netresil.lti import parallel
+
+        zeta = 0.01
+        g = parallel(self.resonance(zeta, 1.0, 1.0), self.resonance(zeta, 7.0, 49.0 * 1.006))
+        dense = np.concatenate([np.linspace(0.95, 1.05, 20001), np.linspace(6.65, 7.35, 20001)])
+        sig = np.abs(eval_frequency(g, dense).values[:, 0, 0])
+        i1, i2 = int(np.argmax(sig[:20001])), 20001 + int(np.argmax(sig[20001:]))
+        assert 0 < sig[i2] / sig[i1] - 1 < 0.01
+        res = hinf_norm(g)
+        assert res.converged
+        assert abs(res.norm - sig[i2]) <= 1e-4 * sig[i2]
+        assert res.peak_omega == pytest.approx(dense[i2], rel=1e-3)
+
+    def test_iteration_limit_reported(self):
+        # a sharp resonance between grid points: one iteration cannot settle it
+        grid = default_grid()
+        wn = float(np.sqrt(grid[200] * grid[201]))
+        g = self.resonance(1e-3, wn, wn**2)
+        sig = np.abs(eval_frequency(g, grid).values[:, 0, 0])
+        peak = 1.0 / (2e-3 * np.sqrt(1 - 1e-6))
+        assert sig.max() < 0.5 * peak
+        short = hinf_norm(g, max_iter=1)
+        assert not short.converged and short.iterations == 1
+        full = hinf_norm(g)
+        assert full.converged
+        assert abs(full.norm - peak) <= 1e-4 * peak
