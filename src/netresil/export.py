@@ -30,11 +30,11 @@ def trajectory_csv(traj: Trajectory, path: str) -> None:
               + [f"u{i+1}" for i in range(m)])
     block = np.hstack([traj.times[:, None], traj.states, traj.comp_states,
                        traj.outputs, u])
-    lines = [",".join(header)]
-    for row in block:
-        lines.append(",".join(repr(float(v)) for v in row))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        # row.tolist() gives Python floats, whose repr is the shortest round trip;
+        # rows are streamed, so no copy of the whole text is held
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in block)
 
 
 def _svg_path(xs: np.ndarray, ys: np.ndarray) -> str:

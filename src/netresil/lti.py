@@ -14,6 +14,11 @@ Frequency responses come from one eigendecomposition of A per grid: the
 modal resolvent (C V) diag(1 / (jw - lam)) (V^-1 B) + D, broadcast over
 every point. Points within the Bauer-Fike radius of a pole are flagged and
 solved directly, as is the whole grid when A is defective or nearly so.
+
+Interconnections fill preallocated arrays by slice assignment.
+:func:`feedback_interconnect`, the one place a loop is closed, skips the
+loop inverse when Dc D11 is exactly zero (the loop matrix is then I); it
+never regroups a product, so results match the plain formula bit for bit.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ class StateSpace:
         if D.shape != (q, m):
             raise DimensionError(f"D is {D.shape}, expected {(q, m)}")
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
-            if M.size and not np.all(np.isfinite(M)):
+            if M.size and not np.isfinite(M).all():
                 raise ValueError(f"{name} contains non-finite entries")
             M.setflags(write=False)
         object.__setattr__(self, "A", A)
@@ -206,16 +211,18 @@ def parallel(g1: StateSpace, g2: StateSpace) -> StateSpace:
 
 def blockdiag(*systems: StateSpace) -> StateSpace:
     """Stack systems on independent channels: dg(g1, g2, ...)."""
-    import scipy.linalg as sla
-
-    A = sla.block_diag(*[g.A for g in systems])
-    B = sla.block_diag(*[g.B for g in systems])
-    C = sla.block_diag(*[g.C for g in systems])
-    D = sla.block_diag(*[g.D for g in systems])
     n = sum(g.n for g in systems)
     m = sum(g.m for g in systems)
     q = sum(g.q for g in systems)
-    return StateSpace(A.reshape(n, n), B.reshape(n, m), C.reshape(q, n), D.reshape(q, m))
+    A, B, C, D = np.zeros((n, n)), np.zeros((n, m)), np.zeros((q, n)), np.zeros((q, m))
+    i = j = k = 0                       # state, input and output offsets
+    for g in systems:
+        A[i:i + g.n, i:i + g.n] = g.A
+        B[i:i + g.n, j:j + g.m] = g.B
+        C[k:k + g.q, i:i + g.n] = g.C
+        D[k:k + g.q, j:j + g.m] = g.D
+        i, j, k = i + g.n, j + g.m, k + g.q
+    return StateSpace(A, B, C, D)
 
 
 def feedback_interconnect(plant: StateSpace, controller: StateSpace,
@@ -240,42 +247,52 @@ def feedback_interconnect(plant: StateSpace, controller: StateSpace,
         raise DimensionError("input_map length must equal controller output count")
     if len(output_map) != controller.m:
         raise DimensionError("output_map length must equal controller input count")
-    if any(i < 0 or i >= plant.m for i in input_map) or len(set(input_map)) != len(input_map):
+    looped_in, looped_out = set(input_map), set(output_map)
+    if any(i < 0 or i >= plant.m for i in input_map) or len(looped_in) != len(input_map):
         raise DimensionError("input_map indices invalid")
-    if any(i < 0 or i >= plant.q for i in output_map) or len(set(output_map)) != len(output_map):
+    if any(i < 0 or i >= plant.q for i in output_map) or len(looped_out) != len(output_map):
         raise DimensionError("output_map indices invalid")
 
-    ext_in = [i for i in range(plant.m) if i not in set(input_map)]
-    ext_out = [i for i in range(plant.q) if i not in set(output_map)]
+    ext_in = [i for i in range(plant.m) if i not in looped_in]
+    ext_out = [i for i in range(plant.q) if i not in looped_out]
 
+    # Matmul rounding depends on operand memory order, so every operand keeps
+    # the order it has always had: B1, B2 column-major (column fancy index),
+    # C1, C2 and the D blocks (rows, then columns by take) row-major.
     B1 = plant.B[:, input_map]
     B2 = plant.B[:, ext_in]
     C1 = plant.C[output_map, :]
     C2 = plant.C[ext_out, :]
-    D11 = plant.D[np.ix_(output_map, input_map)]
-    D12 = plant.D[np.ix_(output_map, ext_in)]
-    D21 = plant.D[np.ix_(ext_out, input_map)]
-    D22 = plant.D[np.ix_(ext_out, ext_in)]
+    D_loop, D_ext = plant.D.take(output_map, axis=0), plant.D.take(ext_out, axis=0)
+    D11, D12 = D_loop.take(input_map, axis=1), D_loop.take(ext_in, axis=1)
+    D21, D22 = D_ext.take(input_map, axis=1), D_ext.take(ext_in, axis=1)
     Ac, Bc, Cc, Dc = controller.A, controller.B, controller.C, controller.D
 
-    # u1 = M (Cc xi + Dc C1 x + Dc D12 u2),  M = (I - Dc D11)^-1
-    loop = np.eye(len(input_map)) - Dc @ D11
-    if np.linalg.matrix_rank(loop, tol=1e-12 * max(1.0, np.linalg.norm(loop))) < loop.shape[0]:
-        raise AlgebraicLoopError("loop is ill-posed: I - D_ctrl D_plant singular")
-    Mi = np.linalg.inv(loop)
+    # u1 = M (Cc xi + Dc C1 x + Dc D12 u2),  M = (I - Dc D11)^-1.  Every
+    # product is evaluated left to right as (X M) Dc Y, so regrouping one
+    # would move the last bits of the result.
+    DcD11 = Dc @ D11
+    if DcD11.any():
+        loop = np.eye(len(input_map)) - DcD11
+        if np.linalg.matrix_rank(loop, tol=1e-12 * max(1.0, np.linalg.norm(loop))) < loop.shape[0]:
+            raise AlgebraicLoopError("loop is ill-posed: I - D_ctrl D_plant singular")
+        Mi = np.linalg.inv(loop)
+        B1M, D11M, D21M, BcD11M = B1 @ Mi, D11 @ Mi, D21 @ Mi, Bc @ D11 @ Mi
+    else:
+        # Dc D11 = 0 exactly: the loop matrix is I, so M = I and X M = X,
+        # held row-major as the product would be
+        B1M, D11M, D21M, BcD11M = B1.copy(), D11, D21, Bc @ D11
+    B1MDc, D11MDc, D21MDc = B1M @ Dc, D11M @ Dc, D21M @ Dc
 
     n, nc = plant.n, controller.n
     A = np.zeros((n + nc, n + nc))
-    A[:n, :n] = plant.A + B1 @ Mi @ Dc @ C1
-    A[:n, n:] = B1 @ Mi @ Cc
-    A[n:, :n] = Bc @ (C1 + D11 @ Mi @ Dc @ C1)
-    A[n:, n:] = Ac + Bc @ D11 @ Mi @ Cc
-    B = np.vstack([
-        B2 + B1 @ Mi @ Dc @ D12,
-        Bc @ (D12 + D11 @ Mi @ Dc @ D12),
-    ])
-    C = np.hstack([C2 + D21 @ Mi @ Dc @ C1, D21 @ Mi @ Cc])
-    D = D22 + D21 @ Mi @ Dc @ D12
+    A[:n, :n] = plant.A + B1MDc @ C1
+    A[:n, n:] = B1M @ Cc
+    A[n:, :n] = Bc @ (C1 + D11MDc @ C1)
+    A[n:, n:] = Ac + BcD11M @ Cc
+    B = np.vstack([B2 + B1MDc @ D12, Bc @ (D12 + D11MDc @ D12)])
+    C = np.hstack([C2 + D21MDc @ C1, D21M @ Cc])
+    D = D22 + D21MDc @ D12
     return StateSpace(A, B, C, D)
 
 

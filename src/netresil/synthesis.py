@@ -34,10 +34,14 @@ class RiccatiSolution:
 
 @dataclass(frozen=True)
 class HinfResult:
+    """``grid_max`` is the largest singular value on :func:`default_grid`
+    (sigma_max(D) when G is a constant), the iteration's starting bound."""
+
     norm: float
     peak_omega: float
     iterations: int
     converged: bool
+    grid_max: float
 
 
 def care_residual(A, B, Q, R_w, P) -> float:
@@ -182,7 +186,9 @@ def hinf_norm(g: StateSpace, tol: float = 1e-4, max_iter: int = 100) -> HinfResu
     unstable systems.
     """
     if g.n == 0 or not np.any(g.B) or not np.any(g.C):
-        return HinfResult(norm=_sigma_max(g.D), peak_omega=0.0, iterations=0, converged=True)
+        d_norm = _sigma_max(g.D)
+        return HinfResult(norm=d_norm, peak_omega=0.0, iterations=0, converged=True,
+                          grid_max=d_norm)
     stable, absc = is_hurwitz(g.A, margin=0.0)
     if not stable:
         raise SynthesisError(f"hinf_norm requires a Hurwitz A (abscissa {absc:.3e})")
@@ -191,14 +197,15 @@ def hinf_norm(g: StateSpace, tol: float = 1e-4, max_iter: int = 100) -> HinfResu
     fr = eval_frequency(g, grid)
     sig = np.linalg.svd(fr.values, compute_uv=False)[:, 0]
     i0 = int(np.argmax(sig))
-    lb = float(sig[i0])
+    lb = grid_max = float(sig[i0])
     peak = float(grid[i0])
     d_norm = _sigma_max(g.D)
     if d_norm > lb:
         lb, peak = d_norm, np.inf
     if lb == 0.0:
         # zero on the whole grid: G vanishes identically
-        return HinfResult(norm=0.0, peak_omega=peak, iterations=0, converged=True)
+        return HinfResult(norm=0.0, peak_omega=peak, iterations=0, converged=True,
+                          grid_max=grid_max)
 
     iterations = 0
     converged = False
@@ -217,4 +224,4 @@ def hinf_norm(g: StateSpace, tol: float = 1e-4, max_iter: int = 100) -> HinfResu
         # the crossings certify ||G|| >= gamma even where no probe reaches it
         lb = max(lb, gamma)
     return HinfResult(norm=0.5 * (lb + gamma), peak_omega=peak, iterations=iterations,
-                      converged=converged)
+                      converged=converged, grid_max=grid_max)

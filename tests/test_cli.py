@@ -8,7 +8,7 @@ from netresil.cli import main
 from netresil.export import svg_line_chart, trajectory_csv
 from netresil.lti import StateSpace
 from netresil.sampling import (random_cascade_system, random_networked_system)
-from netresil.simulate import simulate
+from netresil.simulate import Trajectory, simulate
 
 
 @pytest.fixture
@@ -314,6 +314,19 @@ class TestExport:
         assert len(lines) == 1 + traj.times.size
         first = lines[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == 1.0
+
+    def test_csv_values_are_shortest_repr(self, tmp_path):
+        vals = [-0.0, np.inf, -np.inf, np.nan, 1e-05, 1e+16, 5e-324, 0.1, -2.5]
+        k = len(vals)
+        traj = Trajectory(times=np.arange(k, dtype=float),
+                          states=np.array(vals)[:, None], comp_states=np.zeros((k, 0)),
+                          outputs=np.zeros((k, 1)), inputs=np.ones((k, 1)), h=1.0)
+        path = tmp_path / "v.csv"
+        trajectory_csv(traj, str(path))
+        lines = path.read_text().splitlines()
+        assert [ln.split(",")[1] for ln in lines[1:]] == \
+            ["-0.0", "inf", "-inf", "nan", "1e-05", "1e+16", "5e-324", "0.1", "-2.5"]
+        assert lines[2] == "1.0,inf,0.0,1.0"
 
     def test_svg_is_wellformed_xml(self, tmp_path):
         t = np.linspace(0, 1, 100)

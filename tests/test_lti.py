@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from netresil.lti import (AlgebraicLoopError, DimensionError, StateSpace,
@@ -181,6 +182,135 @@ class TestHurwitz:
             h = min(1e-2, 0.09 / np.abs(np.linalg.eigvals(g.A)).max())
             traj = simulate(sys, x0, None, T=60.0, h=h, store_every=100)
             assert np.linalg.norm(traj.states[-1]) < 1e-6 * np.linalg.norm(x0)
+
+
+def _feedback_by_inverse(plant, controller, input_map=None, output_map=None):
+    """Reference loop closure that always forms M = inv(I - Dc D11), with the
+    same operand selection and product association as the library."""
+    input_map = list(range(controller.q)) if input_map is None else list(input_map)
+    output_map = list(range(controller.m)) if output_map is None else list(output_map)
+    ext_in = [i for i in range(plant.m) if i not in set(input_map)]
+    ext_out = [i for i in range(plant.q) if i not in set(output_map)]
+    B1, B2 = plant.B[:, input_map], plant.B[:, ext_in]
+    C1, C2 = plant.C[output_map, :], plant.C[ext_out, :]
+    D11 = plant.D[np.ix_(output_map, input_map)]
+    D12 = plant.D[np.ix_(output_map, ext_in)]
+    D21 = plant.D[np.ix_(ext_out, input_map)]
+    D22 = plant.D[np.ix_(ext_out, ext_in)]
+    Ac, Bc, Cc, Dc = controller.A, controller.B, controller.C, controller.D
+    Mi = np.linalg.inv(np.eye(len(input_map)) - Dc @ D11)
+    n, nc = plant.n, controller.n
+    A = np.zeros((n + nc, n + nc))
+    A[:n, :n] = plant.A + B1 @ Mi @ Dc @ C1
+    A[:n, n:] = B1 @ Mi @ Cc
+    A[n:, :n] = Bc @ (C1 + D11 @ Mi @ Dc @ C1)
+    A[n:, n:] = Ac + Bc @ D11 @ Mi @ Cc
+    B = np.vstack([B2 + B1 @ Mi @ Dc @ D12, Bc @ (D12 + D11 @ Mi @ Dc @ D12)])
+    C = np.hstack([C2 + D21 @ Mi @ Dc @ C1, D21 @ Mi @ Cc])
+    D = D22 + D21 @ Mi @ Dc @ D12
+    return StateSpace(A, B, C, D)
+
+
+def _random_loop(rng, zero_d11: bool, zero_dc: bool = False):
+    """Plant with extra external channels, a controller on a random subset
+    of them, and permuted input/output maps."""
+    n, nc = int(rng.integers(0, 6)), int(rng.integers(0, 4))
+    k_in, k_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    m, q = k_in + int(rng.integers(0, 3)), k_out + int(rng.integers(0, 3))
+    plant = random_stable_statespace(rng, n, m, q)
+    input_map = [int(i) for i in rng.permutation(m)[:k_in]]
+    output_map = [int(i) for i in rng.permutation(q)[:k_out]]
+    ctrl = random_stable_statespace(rng, nc, k_out, k_in, gain=0.3)
+    if zero_dc:
+        ctrl = StateSpace(ctrl.A, ctrl.B, ctrl.C, None)
+    if zero_d11:
+        D = plant.D.copy()
+        D[np.ix_(output_map, input_map)] = 0.0
+        plant = StateSpace(plant.A, plant.B, plant.C, D)
+    return plant, ctrl, input_map, output_map
+
+
+def _assert_same(got, want):
+    # == ignores the sign of zero, which the products may flip
+    for name in "ABCD":
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
+
+
+class TestFeedbackOracle:
+    def test_zero_plant_feedthrough_on_loop(self, rng):
+        # D11 = 0: the loop matrix is exactly I and M = I is skipped
+        for _ in range(200):
+            plant, ctrl, im, om = _random_loop(rng, zero_d11=True)
+            _assert_same(feedback_interconnect(plant, ctrl, im, om),
+                         _feedback_by_inverse(plant, ctrl, im, om))
+
+    def test_zero_controller_feedthrough(self, rng):
+        # Dc = 0 with D11 != 0: Dc D11 vanishes exactly although D11 does not
+        for _ in range(100):
+            plant, ctrl, im, om = _random_loop(rng, zero_d11=False, zero_dc=True)
+            assert np.any(plant.D[np.ix_(om, im)]) and not np.any(ctrl.D)
+            _assert_same(feedback_interconnect(plant, ctrl, im, om),
+                         _feedback_by_inverse(plant, ctrl, im, om))
+
+    def test_general_loop(self, rng):
+        checked = 0
+        for _ in range(200):
+            plant, ctrl, im, om = _random_loop(rng, zero_d11=False)
+            if not np.any(ctrl.D @ plant.D[np.ix_(om, im)]):
+                continue
+            _assert_same(feedback_interconnect(plant, ctrl, im, om),
+                         _feedback_by_inverse(plant, ctrl, im, om))
+            checked += 1
+        assert checked >= 150
+
+    def test_default_maps(self, rng):
+        for zero_d11 in (True, False):
+            plant = random_stable_statespace(rng, 4, 3, 3)
+            if zero_d11:
+                D = plant.D.copy()
+                D[:2, :2] = 0.0
+                plant = StateSpace(plant.A, plant.B, plant.C, D)
+            ctrl = random_stable_statespace(rng, 2, 2, 2, gain=0.3)
+            _assert_same(feedback_interconnect(plant, ctrl),
+                         _feedback_by_inverse(plant, ctrl))
+
+    def test_ill_posed_mimo_loop_with_maps(self, rng):
+        # I - Dc D11 = diag(0, 0.5) on the looped channels
+        D = rng.normal(size=(3, 3))
+        D[np.ix_([2, 0], [1, 2])] = np.eye(2)
+        plant = StateSpace(-np.eye(2), rng.normal(size=(2, 3)), rng.normal(size=(3, 2)), D)
+        ctrl = StateSpace.from_gain(np.diag([1.0, 0.5]))
+        with pytest.raises(AlgebraicLoopError):
+            feedback_interconnect(plant, ctrl, input_map=[1, 2], output_map=[2, 0])
+
+
+class TestBlockdiagOracle:
+    def test_matches_scipy_block_diag(self, rng):
+        for _ in range(100):
+            systems = [random_stable_statespace(rng, int(rng.integers(0, 4)),
+                                                int(rng.integers(0, 3)),
+                                                int(rng.integers(0, 3)))
+                       for _ in range(int(rng.integers(1, 5)))]
+            b = blockdiag(*systems)
+            n = sum(g.n for g in systems)
+            m = sum(g.m for g in systems)
+            q = sum(g.q for g in systems)
+            for name, shape in (("A", (n, n)), ("B", (n, m)), ("C", (q, n)), ("D", (q, m))):
+                want = sla.block_diag(*[getattr(g, name) for g in systems]).reshape(shape)
+                assert np.array_equal(getattr(b, name), want), name
+
+    def test_static_and_zero_width_members(self):
+        g = StateSpace(-1, [[1.0, 2.0]], [[3.0]], [[0.0, 4.0]])
+        gain = StateSpace.from_gain([[5.0], [6.0]])
+        sink = StateSpace.from_gain(np.zeros((0, 2)))
+        b = blockdiag(gain, sink, g)
+        assert (b.n, b.m, b.q) == (1, 5, 3)
+        assert np.array_equal(b.B, [[0.0, 0.0, 0.0, 1.0, 2.0]])
+        assert np.array_equal(b.C, [[0.0], [0.0], [3.0]])
+        assert np.array_equal(b.D, [[5.0, 0, 0, 0, 0], [6.0, 0, 0, 0, 0],
+                                    [0, 0, 0, 0.0, 4.0]])
+        assert not b.A.flags.writeable
 
 
 class TestHelpers:

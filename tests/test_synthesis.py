@@ -130,6 +130,20 @@ class TestHinfNorm:
             assert res.norm >= sig.max() * (1 - 1e-9)
             assert res.norm <= sig.max() * 1.01
 
+    def test_grid_max_is_the_grid_evaluation(self, rng):
+        for _ in range(5):
+            g = random_stable_statespace(rng, 4, 2, 3)
+            sig = np.linalg.svd(eval_frequency(g, default_grid()).values,
+                                compute_uv=False)[:, 0]
+            assert hinf_norm(g).grid_max == sig.max()
+        # constant transfer functions: no state, and a zero input matrix
+        for g in (StateSpace.from_gain(rng.normal(size=(2, 3))),
+                  StateSpace(-np.eye(2), np.zeros((2, 3)), rng.normal(size=(2, 2)),
+                             rng.normal(size=(2, 3)))):
+            sig = np.linalg.svd(eval_frequency(g, default_grid()).values,
+                                compute_uv=False)[:, 0]
+            assert hinf_norm(g).grid_max == pytest.approx(sig.max(), rel=1e-14)
+
     def test_mimo_with_feedthrough(self, rng):
         g = random_stable_statespace(rng, 3, 2, 2, gain=0.5)
         res = hinf_norm(g, tol=1e-6)
