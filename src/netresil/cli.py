@@ -14,12 +14,16 @@ Exit codes: check 0 resilient / 2 not resilient / 3 unknown;
 attached; compensate 5 on a synthesis or verification failure; norms 5 on
 an unstable network; 1 on malformed input, an invalid flag value or any
 other synthesis failure. Every error is one ``error: ...`` line on stderr.
+Numeric flags are checked when parsed; a run that would store more than
+``simulate.MAX_STORED_SAMPLES`` samples, an unusable output path and a
+failed write also exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -34,8 +38,8 @@ from .export import plot_commands, plot_outputs, trajectory_csv
 from .lti import spectral_abscissa
 from .network import NetworkedSystem, interconnect, is_cascade, is_weakly_resilient
 from .powergrid import find_destabilizing_attack, grid_network
-from .simulate import (ReferenceSignal, Scenario, Trajectory, max_step,
-                       run_scenario, simulate)
+from .simulate import (ReferenceSignal, Scenario, Trajectory, check_samples,
+                       max_step, run_scenario, simulate)
 from .synthesis import SynthesisError, hinf_norm
 from .youla import destabilizer_search
 
@@ -176,6 +180,13 @@ def _segment_tracking_errors(traj, reports):
 
 
 def cmd_grid_demo(args) -> int:
+    segments = [(0.0, "nominal")]
+    if args.attack_at is not None:
+        segments.append((args.attack_at, "attacked"))
+        if args.recover_at is not None:
+            segments.append((args.recover_at, "nominal"))
+    horizon = args.t_final if args.t_final is not None else segments[-1][0] + 400.0
+    check_samples(horizon, args.h, args.store_every)
     out = _ensure_out(args)
     gm, ns, k1, k2, ref_ignored, seed_used = grid_network(args.seed)
     summary = {"seed": args.seed, "seed_used": seed_used,
@@ -193,7 +204,6 @@ def cmd_grid_demo(args) -> int:
         summary["bound_factor"] = pb.factor
 
     controllers = {"nominal": (k1.realize(), k2.realize())}
-    segments = [(0.0, "nominal")]
     if args.attack_at is not None:
         attack = find_destabilizing_attack(ns, k1, k2, seed=seed_used)
         if attack is None:
@@ -210,11 +220,7 @@ def cmd_grid_demo(args) -> int:
                                  "gain": attack.gain,
                                  "local_abscissae": list(attack.local_abscissae),
                                  "open_loop_global_abscissa": attack.global_abscissa}
-        segments.append((float(args.attack_at), "attacked"))
-        if args.recover_at is not None:
-            segments.append((float(args.recover_at), "nominal"))
 
-    horizon = args.t_final if args.t_final is not None else segments[-1][0] + 400.0
     rng = np.random.default_rng(seed_used)
     r1 = ReferenceSignal.random_levels(rng, horizon, args.dwell, ns.sub1.q, shared=True)
     r2 = ReferenceSignal.random_levels(rng, horizon, args.dwell, ns.sub2.q, shared=True)
@@ -258,16 +264,39 @@ def cmd_grid_demo(args) -> int:
     return 0
 
 
+_SIGNS = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}
+
+
+def _number(sign: str, what: str):
+    """argparse ``type=``: a finite float that is ``sign`` ("positive" or
+    "non-negative"); ``what`` names the quantity in the error line."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and _SIGNS[sign](value)):
+            raise argparse.ArgumentTypeError(
+                f"{what} must be a {sign} finite number, got {text!r}")
+        return value
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one error line and exit code 1, like every other bad input
+        raise SystemExit(f"error: {self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="netresil",
-                                description="networked-system resilience toolkit")
+    p = _Parser(prog="netresil", description="networked-system resilience toolkit")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--tol", type=float, default=None,
+        sp.add_argument("--tol", type=_number("positive", "tolerance"), default=None,
                         help="tolerance override (command specific)")
 
     sp = sub.add_parser("check", help="cascade / resilience verdict")
@@ -292,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="autonomous network response")
     sp.add_argument("system")
     sp.add_argument("--compensator", default=None, help="compensator JSON")
-    sp.add_argument("--T", type=float, default=20.0)
-    sp.add_argument("--h", type=float, default=1e-3)
+    sp.add_argument("--T", type=_number("non-negative", "horizon"), default=20.0)
+    sp.add_argument("--h", type=_number("positive", "step"), default=1e-3)
     sp.add_argument("--store-every", type=int, default=10)
     common(sp)
     sp.set_defaults(fn=cmd_simulate)
@@ -302,11 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-compensator", action="store_true")
     sp.add_argument("--observer", action="store_true",
                     help="use the observer-fed compensator")
-    sp.add_argument("--attack-at", type=float, default=None)
-    sp.add_argument("--recover-at", type=float, default=None)
-    sp.add_argument("--t-final", type=float, default=None)
-    sp.add_argument("--h", type=float, default=1e-3)
-    sp.add_argument("--dwell", type=float, default=100.0,
+    sp.add_argument("--attack-at", type=_number("positive", "attack time"), default=None)
+    sp.add_argument("--recover-at", type=_number("positive", "recovery time"),
+                    default=None)
+    sp.add_argument("--t-final", type=_number("non-negative", "horizon"), default=None)
+    sp.add_argument("--h", type=_number("positive", "step"), default=1e-3)
+    sp.add_argument("--dwell", type=_number("positive", "dwell time"), default=100.0,
                     help="reference level dwell time [s]")
     sp.add_argument("--store-every", type=int, default=100)
     sp.add_argument("--theta-policy", choices=("gamma_scan", "lqr"),
@@ -322,11 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "recover_at", None) is not None and args.attack_at is None:
-        print("error: --recover-at requires --attack-at", file=sys.stderr)
-        return 1
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "recover_at", None) is not None and args.attack_at is None:
+            raise SystemExit("error: --recover-at requires --attack-at")
         return args.fn(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
@@ -341,7 +370,11 @@ def main(argv=None) -> int:
         return 5 if args.command in ("compensate", "norms") else 1
     except ValueError as exc:
         # bad flag values and inputs the library rejects (StepSizeError,
-        # DimensionError, unsupported channel widths)
+        # DimensionError, unsupported channel widths, too many samples)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # an unusable --out, a failed write or a failed CSV worker
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

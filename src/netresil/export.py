@@ -1,14 +1,30 @@
 """Trajectory CSV export and self-contained SVG line charts.
 
 CSV rows are written with shortest-round-trip float formatting, so a
-fixed (command, seed, config) triple produces byte-identical files. The
-SVG writer emits plain polylines with no external assets, one chart per
-signal group, so plots diff cleanly in CI.
+fixed (command, seed, config) triple produces byte-identical files. A
+block of ``PARALLEL_MIN_VALUES`` values or more is cut into contiguous
+row slices, one per usable CPU and at most ``MAX_SLICES``: the calling
+process formats the first slice into the CSV while a forked child
+formats each further slice into an unnamed temporary file in the output
+directory, and the parent appends those files in row order. Every row
+goes through the same formatter, so the bytes do not depend on the
+split; a smaller block, one usable CPU, or a platform without
+``os.fork`` or ``os.sched_getaffinity`` writes the whole block in the
+calling process. Python 3.12 and later emit a ``DeprecationWarning``
+for ``os.fork`` in a process that runs other threads (a BLAS thread pool
+counts); the children only format floats and write their own file.
+
+The SVG writer emits plain polylines with no external assets, one chart
+per signal group, so plots diff cleanly in CI.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import shutil
+import signal
+import tempfile
 from typing import Sequence
 
 import numpy as np
@@ -16,8 +32,50 @@ import numpy as np
 from .simulate import Trajectory
 
 
+PARALLEL_MIN_VALUES = 20_000
+"""Smallest CSV block, in values, that is split across processes."""
+
+MAX_SLICES = 4
+"""Most row slices, hence processes, one CSV is formatted in."""
+
+
+def _write_rows(fh, rows: np.ndarray) -> None:
+    # row.tolist() gives Python floats, whose repr is the shortest round trip;
+    # rows are streamed, so no copy of the whole text is held
+    fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in rows)
+
+
+def _slice_count(block: np.ndarray) -> int:
+    if (block.size < PARALLEL_MIN_VALUES or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), MAX_SLICES, len(block))
+
+
+def _fork_writer(rows: np.ndarray, tmp) -> int:
+    """Fork a child that formats ``rows`` into ``tmp`` and exits; return its pid."""
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        with open(tmp.fileno(), "w", newline="\n", closefd=False) as out:
+            _write_rows(out, rows)
+        code = 0
+    finally:
+        # skips the parent's atexit handlers and buffered output
+        os._exit(code)
+
+
 def trajectory_csv(traj: Trajectory, path: str) -> None:
-    """Write `t,x1..xn,phi1..phin,y1..yq,u1..um` rows, one per sample."""
+    """Write `t,x1..xn,phi1..phin,y1..yq,u1..um` rows, one per sample.
+
+    A block of ``PARALLEL_MIN_VALUES`` values or more is formatted in
+    contiguous row slices, one per usable CPU up to ``MAX_SLICES``, by
+    forked children that write unnamed temporary files in the output
+    directory; the file is byte-identical to the one-process write. Raises
+    ``OSError`` when a child fails; no child outlives the call.
+    """
     n = traj.states.shape[1]
     n_phi = traj.comp_states.shape[1]
     q = traj.outputs.shape[1]
@@ -30,11 +88,36 @@ def trajectory_csv(traj: Trajectory, path: str) -> None:
               + [f"u{i+1}" for i in range(m)])
     block = np.hstack([traj.times[:, None], traj.states, traj.comp_states,
                        traj.outputs, u])
+    k = _slice_count(block)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        # row.tolist() gives Python floats, whose repr is the shortest round trip;
-        # rows are streamed, so no copy of the whole text is held
-        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in block)
+        if k == 1:
+            _write_rows(fh, block)
+            return
+        fh.flush()                      # a child must not inherit unwritten text
+        edges = [len(block) * i // k for i in range(k + 1)]
+        outdir = os.path.dirname(os.path.abspath(path))
+        with contextlib.ExitStack() as temps:
+            children = []               # (pid, temporary file) in row order, unreaped
+            try:
+                for lo, hi in zip(edges[1:-1], edges[2:]):
+                    tmp = temps.enter_context(tempfile.TemporaryFile(dir=outdir))
+                    children.append((_fork_writer(block[lo:hi], tmp), tmp))
+                _write_rows(fh, block[:edges[1]])
+                fh.flush()
+                while children:
+                    pid, tmp = children[0]
+                    status = os.waitpid(pid, 0)[1]
+                    del children[0]
+                    if status:
+                        raise OSError(f"CSV worker for {path} exited with status "
+                                      f"{os.waitstatus_to_exitcode(status)}")
+                    tmp.seek(0)
+                    shutil.copyfileobj(tmp, fh.buffer)
+            finally:
+                for pid, _ in children:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
 def _svg_path(xs: np.ndarray, ys: np.ndarray) -> str:

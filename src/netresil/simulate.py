@@ -27,6 +27,10 @@ from .network import NetworkedSystem
 
 DIVERGENCE_LIMIT = 1e9
 
+MAX_STORED_SAMPLES = 1_000_000
+"""Most samples one run may store, and most levels one random reference may
+hold; a longer run is refused before anything is allocated."""
+
 
 class StepSizeError(ValueError):
     """h violates the stability-resolving bound h |lambda|_max <= 0.1."""
@@ -108,6 +112,9 @@ class ReferenceSignal:
                       shared: bool = True) -> "ReferenceSignal":
         """Random levels redrawn every ``dwell`` seconds; ``shared`` draws
         one level broadcast across all channels."""
+        if horizon / dwell > MAX_STORED_SAMPLES:
+            raise ValueError(f"horizon / dwell = {horizon / dwell:.3g} reference levels "
+                             f"exceeds the limit of {MAX_STORED_SAMPLES:,}")
         k = max(1, int(np.ceil(horizon / dwell)))
         times = np.arange(k) * dwell
         if shared:
@@ -147,8 +154,17 @@ class Scenario:
             raise ValueError("horizon must reach the last segment")
         if self.h <= 0 or self.store_every < 1:
             raise ValueError("invalid step or storage stride")
+        check_samples(self.horizon, self.h, self.store_every)
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+
+
+def check_samples(T: float, h: float, store_every: int) -> None:
+    """Refuse a run over [0, T] that stores more than MAX_STORED_SAMPLES samples."""
+    samples = T / (h * store_every)
+    if samples > MAX_STORED_SAMPLES:
+        raise ValueError(f"T / (h * store_every) = {samples:.3g} stored samples "
+                         f"exceeds the limit of {MAX_STORED_SAMPLES:,}")
 
 
 def _rk4_step_maps(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -251,6 +267,7 @@ def simulate(system: StateSpace, x0, inputs=None, T: float = 1.0, h: float = 1e-
         raise ValueError(f"horizon T must be non-negative and finite, got {T!r}")
     if store_every < 1:
         raise ValueError(f"store_every must be at least 1, got {store_every!r}")
+    check_samples(T, h, store_every)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != system.n:
         raise ValueError(f"x0 has {x0.size} entries, expected {system.n}")

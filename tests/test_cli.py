@@ -1,9 +1,11 @@
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from netresil import export
 from netresil.cli import main
 from netresil.export import svg_line_chart, trajectory_csv
 from netresil.lti import StateSpace
@@ -191,6 +193,34 @@ class TestInputBoundary:
                      "--out", str(tmp_path / "b")]) == 1
         assert word in self._one_error_line(capsys)
 
+    @pytest.mark.parametrize("argv, word", [
+        (["compensate", "{dense}", "--tol", "-1"], "tolerance"),
+        (["compensate", "{dense}", "--tol", "nan"], "tolerance"),
+        (["norms", "{cascade}", "--tol", "-1"], "tolerance"),
+        (["simulate", "{cascade}", "--h", "inf"], "step"),
+        (["simulate", "{cascade}", "--T", "inf"], "horizon"),
+        (["simulate", "{cascade}", "--T", "1e12", "--h", "1"], "stored samples"),
+        (["grid-demo", "--t-final", "nan"], "horizon"),
+        (["grid-demo", "--t-final", "1e9"], "stored samples"),
+        (["grid-demo", "--dwell", "0"], "dwell"),
+        (["grid-demo", "--dwell", "1e-12", "--t-final", "20"], "reference levels"),
+        (["grid-demo", "--attack-at", "-1"], "attack time"),
+        (["grid-demo", "--attack-at", "5", "--recover-at", "inf"], "recovery time"),
+    ])
+    def test_bad_numeric_flag(self, fixtures, tmp_path, capsys, argv, word):
+        argv = [a.format(**fixtures) for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 1
+        assert word in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_unusable_out(self, fixtures, tmp_path, capsys, command):
+        """An existing file as --out, or a directory below one, is one error line."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker if command == "simulate" else blocker / "x"
+        assert main([command, fixtures["cascade"], "--out", str(out)]) == 1
+        assert str(out) in self._one_error_line(capsys)
+
     def test_mimo_attack_search(self, fixtures, tmp_path, capsys):
         assert main(["attack-search", fixtures["mimo"], "--out", str(tmp_path / "b")]) == 1
         assert "scalar channels" in self._one_error_line(capsys)
@@ -336,3 +366,112 @@ class TestExport:
         assert root.tag.endswith("svg")
         polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
         assert len(polylines) == 2
+
+
+def serial_csv(traj: Trajectory) -> bytes:
+    """Reference CSV: the header, then every row through the one-line formatter."""
+    u = traj.commands if traj.commands is not None else traj.inputs
+    names = ["t"] + [f"{p}{i + 1}" for p, a in (("x", traj.states), ("phi", traj.comp_states),
+                                                ("y", traj.outputs), ("u", u))
+                     for i in range(a.shape[1])]
+    block = np.hstack([traj.times[:, None], traj.states, traj.comp_states, traj.outputs, u])
+    lines = [",".join(names)] + [",".join(map(repr, row.tolist())) for row in block]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def states_trajectory(rows: int, cols: int, seed: int = 0) -> Trajectory:
+    """A t column and ``cols - 1`` state columns of mixed magnitudes."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, cols - 1)) * 10.0 ** rng.integers(-20, 20, (rows, cols - 1))
+    return Trajectory(times=np.arange(rows) * 0.1, states=x, comp_states=np.zeros((rows, 0)),
+                      outputs=np.zeros((rows, 0)), inputs=np.zeros((rows, 0)), h=0.1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the CSV is split only where os.fork exists")
+class TestParallelCsv:
+    """The row-sliced CSV writer against the one-process reference."""
+
+    SPECIAL = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-05, 1e+16]
+
+    @staticmethod
+    def cpus(monkeypatch, k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        forks = []
+        real = os.fork
+
+        def fork():
+            forks.append(1)
+            return real()
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_bytes_match_serial_reference(self, tmp_path, monkeypatch, k):
+        rows, cols = 1201, 21
+        assert rows * cols >= export.PARALLEL_MIN_VALUES
+        traj = states_trajectory(rows, cols)
+        # the rows on both sides of every slice boundary for 2, 3 and 4 slices
+        edges = {rows * i // s for s in (2, 3, 4) for i in range(1, s)}
+        for r in edges | {e - 1 for e in edges} | {0, rows - 1}:
+            traj.states[r] = np.resize(np.roll(self.SPECIAL, r), cols - 1)
+        self.cpus(monkeypatch, k)
+        forks = self.count_forks(monkeypatch)
+        path = tmp_path / "p.csv"
+        trajectory_csv(traj, str(path))
+        assert len(forks) == min(k, export.MAX_SLICES) - 1
+        assert path.read_bytes() == serial_csv(traj)
+        assert os.listdir(tmp_path) == ["p.csv"]
+
+    def test_one_cpu_writes_serially(self, tmp_path, monkeypatch):
+        traj = states_trajectory(1201, 21, seed=1)
+        self.cpus(monkeypatch, 1)
+        forks = self.count_forks(monkeypatch)
+        path = tmp_path / "s.csv"
+        trajectory_csv(traj, str(path))
+        assert forks == []
+        assert path.read_bytes() == serial_csv(traj)
+
+    @pytest.mark.parametrize("values, n_forks", [(export.PARALLEL_MIN_VALUES - 1, 0),
+                                                 (export.PARALLEL_MIN_VALUES, 3)])
+    def test_threshold(self, tmp_path, monkeypatch, values, n_forks):
+        cols = next(c for c in range(7, 100) if values % c == 0)
+        traj = states_trajectory(values // cols, cols, seed=2)
+        self.cpus(monkeypatch, 4)
+        forks = self.count_forks(monkeypatch)
+        path = tmp_path / "t.csv"
+        trajectory_csv(traj, str(path))
+        assert len(forks) == n_forks
+        assert path.read_bytes() == serial_csv(traj)
+
+    @staticmethod
+    def fail_in_children(monkeypatch):
+        """Make the row formatter raise in every process but this one."""
+        parent, real = os.getpid(), export._write_rows
+
+        def write_rows(fh, rows):
+            if os.getpid() != parent:
+                raise RuntimeError("formatter failed")
+            real(fh, rows)
+        monkeypatch.setattr(export, "_write_rows", write_rows)
+
+    def test_failed_child_raises_and_leaves_only_the_csv(self, tmp_path, monkeypatch):
+        self.fail_in_children(monkeypatch)
+        self.cpus(monkeypatch, 4)
+        out = tmp_path / "o"
+        out.mkdir()
+        with pytest.raises(OSError, match="exited with status 1"):
+            trajectory_csv(states_trajectory(1201, 21), str(out / "f.csv"))
+        assert os.listdir(out) == ["f.csv"]
+        with pytest.raises(ChildProcessError):      # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_child_is_one_cli_error_line(self, fixtures, tmp_path, monkeypatch, capsys):
+        self.fail_in_children(monkeypatch)
+        self.cpus(monkeypatch, 2)
+        # the cascade's 2001 x 11 CSV is above the threshold
+        assert main(["simulate", fixtures["cascade"], "--out", str(tmp_path / "w")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: CSV worker"), err
