@@ -267,17 +267,20 @@ def cmd_grid_demo(args) -> int:
 _SIGNS = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}
 
 
-def _number(sign: str, what: str):
-    """argparse ``type=``: a finite float that is ``sign`` ("positive" or
-    "non-negative"); ``what`` names the quantity in the error line."""
-    def parse(text: str) -> float:
+def _number(sign: str, what: str, kind=float):
+    """argparse ``type=``: a finite ``kind`` (float or int) that is ``sign``
+    ("positive" or "non-negative"); ``what`` names the quantity in the error
+    line."""
+    noun = "integer" if kind is int else "finite number"
+
+    def parse(text: str):
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
             value = math.nan
         if not (math.isfinite(value) and _SIGNS[sign](value)):
             raise argparse.ArgumentTypeError(
-                f"{what} must be a {sign} finite number, got {text!r}")
+                f"{what} must be a {sign} {noun}, got {text!r}")
         return value
     return parse
 
@@ -323,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--compensator", default=None, help="compensator JSON")
     sp.add_argument("--T", type=_number("non-negative", "horizon"), default=20.0)
     sp.add_argument("--h", type=_number("positive", "step"), default=1e-3)
-    sp.add_argument("--store-every", type=int, default=10)
+    sp.add_argument("--store-every", type=_number("positive", "store_every", int),
+                    default=10)
     common(sp)
     sp.set_defaults(fn=cmd_simulate)
 
@@ -338,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=_number("positive", "step"), default=1e-3)
     sp.add_argument("--dwell", type=_number("positive", "dwell time"), default=100.0,
                     help="reference level dwell time [s]")
-    sp.add_argument("--store-every", type=int, default=100)
+    sp.add_argument("--store-every", type=_number("positive", "store_every", int),
+                    default=100)
     sp.add_argument("--theta-policy", choices=("gamma_scan", "lqr"),
                     default="gamma_scan")
     common(sp)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -201,6 +202,8 @@ class TestInputBoundary:
         (["simulate", "{cascade}", "--T", "inf"], "horizon"),
         (["simulate", "{cascade}", "--T", "1e12", "--h", "1"], "stored samples"),
         (["grid-demo", "--t-final", "nan"], "horizon"),
+        (["grid-demo", "--store-every", "0"], "store_every"),
+        (["grid-demo", "--store-every", "2.5"], "store_every"),
         (["grid-demo", "--t-final", "1e9"], "stored samples"),
         (["grid-demo", "--dwell", "0"], "dwell"),
         (["grid-demo", "--dwell", "1e-12", "--t-final", "20"], "reference levels"),
@@ -447,22 +450,27 @@ class TestParallelCsv:
         assert path.read_bytes() == serial_csv(traj)
 
     @staticmethod
-    def fail_in_children(monkeypatch):
-        """Make the row formatter raise in every process but this one."""
+    def fail_in_children(monkeypatch, exc=RuntimeError("formatter failed")):
+        """Make the row formatter raise ``exc`` in every process but this one."""
         parent, real = os.getpid(), export._write_rows
 
         def write_rows(fh, rows):
             if os.getpid() != parent:
-                raise RuntimeError("formatter failed")
+                raise exc
             real(fh, rows)
         monkeypatch.setattr(export, "_write_rows", write_rows)
 
-    def test_failed_child_raises_and_leaves_only_the_csv(self, tmp_path, monkeypatch):
-        self.fail_in_children(monkeypatch)
+    @pytest.mark.parametrize("exc, status", [
+        (RuntimeError("formatter failed"), r"status 255$"),
+        (OSError(errno.ENOSPC, "disk full"), r"status 28 \(No space left on device\)$"),
+    ], ids=["other-error", "os-error"])
+    def test_failed_child_raises_and_leaves_only_the_csv(self, tmp_path, monkeypatch,
+                                                         exc, status):
+        self.fail_in_children(monkeypatch, exc)
         self.cpus(monkeypatch, 4)
         out = tmp_path / "o"
         out.mkdir()
-        with pytest.raises(OSError, match="exited with status 1"):
+        with pytest.raises(OSError, match=status):
             trajectory_csv(states_trajectory(1201, 21), str(out / "f.csv"))
         assert os.listdir(out) == ["f.csv"]
         with pytest.raises(ChildProcessError):      # every child was reaped
