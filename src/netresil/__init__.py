@@ -23,7 +23,7 @@ from .synthesis import (HinfResult, RiccatiSolution, SynthesisError,
                         solve_care)
 from .youla import (AllPassParam, DestabilizerResult, GeneralizedPlant,
                     YoulaController, allpass_fit, allpass_ss,
-                    design_nominal_gains, destabilizer_search, local_map_delta,
+                    design_nominal_gains, destabilizer_search,
                     realize_controller)
 from .simulate import (ReferenceSignal, Scenario, Trajectory, l2_energy,
                        l2_norm, run_scenario, simulate)
@@ -42,7 +42,7 @@ __all__ = [
     "design_theta", "destabilizer_search", "eval_frequency",
     "feedback_interconnect", "hinf_norm", "interconnect", "is_cascade",
     "is_hurwitz", "is_weakly_resilient", "l2_energy", "l2_norm",
-    "local_map_delta", "parallel", "performance_bound", "realize_controller",
+    "parallel", "performance_bound", "realize_controller",
     "run_scenario", "series", "simulate", "solve_care", "spectral_abscissa",
     "synthesize_compensator", "synthesize_observer_compensator",
     "verify_triangular",

@@ -37,9 +37,9 @@ from .compensator import (Compensator, FeedthroughError, attach_compensator,
 from .export import plot_commands, plot_outputs, trajectory_csv
 from .lti import spectral_abscissa
 from .network import NetworkedSystem, interconnect, is_cascade, is_weakly_resilient
-from .powergrid import find_destabilizing_attack, grid_network
-from .simulate import (ReferenceSignal, Scenario, Trajectory, check_samples,
-                       max_step, run_scenario, simulate)
+from .powergrid import design_tracking_controllers, find_destabilizing_attack, grid_network
+from .simulate import (Scenario, StepSizeError, Trajectory, check_run, max_step,
+                       run_scenario, simulate)
 from .synthesis import SynthesisError, hinf_norm
 from .youla import destabilizer_search
 
@@ -47,7 +47,8 @@ from .youla import destabilizer_search
 def _load(kind, path: str, what: str):
     try:
         return kind.from_json(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+            OverflowError, RecursionError) as exc:
         raise SystemExit(f"error: cannot load {what} from {path}: {exc}") from exc
 
 
@@ -186,9 +187,9 @@ def cmd_grid_demo(args) -> int:
         if args.recover_at is not None:
             segments.append((args.recover_at, "nominal"))
     horizon = args.t_final if args.t_final is not None else segments[-1][0] + 400.0
-    check_samples(horizon, args.h, args.store_every)
+    check_run(horizon, args.h, args.store_every)
     out = _ensure_out(args)
-    gm, ns, k1, k2, ref_ignored, seed_used = grid_network(args.seed)
+    gm, ns, k1, k2, reference, seed_used = grid_network(args.seed, horizon, args.dwell)
     summary = {"seed": args.seed, "seed_used": seed_used,
                "compensated": not args.no_compensator, "observer": args.observer}
 
@@ -209,9 +210,7 @@ def cmd_grid_demo(args) -> int:
         if attack is None:
             print("warning: no destabilizing random attack found; "
                   "falling back to detuned trackers", file=sys.stderr)
-            from .powergrid import design_tracking_controllers
-
-            ka1, ka2, _ = design_tracking_controllers(ns, r_scale=1e4, seed=seed_used)
+            ka1, ka2 = design_tracking_controllers(ns, r_scale=1e4)
             controllers["attacked"] = (ka1.realize(), ka2.realize())
             summary["attack"] = {"kind": "detuned", "r_scale": 1e4}
         else:
@@ -220,13 +219,6 @@ def cmd_grid_demo(args) -> int:
                                  "gain": attack.gain,
                                  "local_abscissae": list(attack.local_abscissae),
                                  "open_loop_global_abscissa": attack.global_abscissa}
-
-    rng = np.random.default_rng(seed_used)
-    r1 = ReferenceSignal.random_levels(rng, horizon, args.dwell, ns.sub1.q, shared=True)
-    r2 = ReferenceSignal.random_levels(rng, horizon, args.dwell, ns.sub2.q, shared=True)
-    reference = ReferenceSignal(r1.times, np.hstack([r1.levels, r2.levels]))
-
-    from .simulate import StepSizeError
 
     h, stride = args.h, args.store_every
     for _ in range(6):

@@ -43,11 +43,8 @@ class AlgebraicLoopError(ValueError):
     """Feedback interconnection has a singular algebraic loop."""
 
 
-def _as_matrix(M, rows=None, cols=None) -> np.ndarray:
-    out = np.atleast_2d(np.asarray(M, dtype=float))
-    if rows is not None and cols is not None and out.size == 0:
-        out = out.reshape(rows, cols)
-    return out
+def _as_matrix(M) -> np.ndarray:
+    return np.atleast_2d(np.asarray(M, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,7 @@ class StateSpace:
         if D is None:
             D = np.zeros((q, m))
         else:
-            D = _as_matrix(D, q, m)
+            D = _as_matrix(D)
             if D.size == 0:
                 D = D.reshape(q, m)
         if D.shape != (q, m):
@@ -369,18 +366,19 @@ def is_hurwitz(A, margin: float = 1e-9) -> tuple[bool, float]:
     return bool(a < -margin), a
 
 
-def controllability_matrix(A, B, normalize: bool = False) -> np.ndarray:
-    """Krylov matrix [B, AB, ..., A^(n-1) B].
+def controllability_matrix(A, B) -> np.ndarray:
+    """Krylov matrix [B, AB, ..., A^(n-1) B], each power block scaled by
+    ||A||_2^k.
 
-    ``normalize`` rescales each power block by ||A||_2^k, which leaves the
-    column span (hence the rank) unchanged but keeps the blocks comparable
-    when A has large entries; the raw matrix spans ~||A||^n orders of
-    magnitude and defeats numerical rank tests for n beyond ~10.
+    The scaling leaves the column span (hence the rank) unchanged but keeps
+    the blocks comparable when A has large entries; the raw matrix spans
+    ~||A||^n orders of magnitude and defeats numerical rank tests for n
+    beyond ~10.
     """
     A = _as_matrix(A)
     B = _as_matrix(B)
     n = A.shape[0]
-    scale = max(1.0, float(np.linalg.norm(A, 2))) if normalize and n else 1.0
+    scale = max(1.0, float(np.linalg.norm(A, 2))) if n else 1.0
     blocks = [B]
     for _ in range(n - 1):
         blocks.append((A @ blocks[-1]) / scale)
@@ -417,7 +415,7 @@ def is_controllable(A, B) -> bool:
     B = _as_matrix(B)
     if A.shape[0] == 0:
         return True
-    if _rank(controllability_matrix(A, B, normalize=True)) == A.shape[0]:
+    if _rank(controllability_matrix(A, B)) == A.shape[0]:
         return True
     return _hautus_controllable(A, B)
 

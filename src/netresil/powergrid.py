@@ -29,7 +29,7 @@ from .lti import StateSpace, spectral_abscissa
 from .network import NetworkedSystem, Subsystem
 from .sampling import random_stable_statespace
 from .simulate import ReferenceSignal, closed_tracking_loop
-from .synthesis import SynthesisError, solve_care
+from .synthesis import SynthesisError, design_observer_gain, solve_care
 from .youla import _observer_controller
 
 _log = logging.getLogger(__name__)
@@ -79,12 +79,6 @@ def generator_matrices(p: GeneratorParams):
     b_tau = np.array([[0.0], [1.0 / p.M], [0.0], [0.0]])
     c = np.array([[1.0, 0.0, 0.0, 0.0]])
     return A, b, b_tau, c
-
-
-def build_generator(p: GeneratorParams) -> StateSpace:
-    """One generator with inputs (u, v, tau) and measured angle output."""
-    A, b, b_tau, c = generator_matrices(p)
-    return StateSpace(A, np.hstack([b, b, b_tau]), c, None)
 
 
 def load_reduced_admittance() -> tuple[np.ndarray, dict]:
@@ -238,40 +232,27 @@ def _integrator_augmented(A, B, C):
             np.hstack([C, np.zeros((qd, qd))]))
 
 
-def design_tracking_controller(A, B, C, q_scale: float = 1.0,
-                               r_scale: float = 1.0) -> TrackingController:
+def design_tracking_controller(A, B, C, r_scale: float = 1.0) -> TrackingController:
     """LQR on the integral-augmented cluster plus a dual-LQR observer."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     C = np.asarray(C, dtype=float)
     n, m, qd = A.shape[0], B.shape[1], C.shape[0]
     A_aug, B_aug, _ = _integrator_augmented(A, B, C)
-    sol = solve_care(A_aug, B_aug, q_scale * np.eye(n + qd), r_scale * np.eye(m))
+    sol = solve_care(A_aug, B_aug, np.eye(n + qd), r_scale * np.eye(m))
     Kx, Ke = sol.K[:, :n], sol.K[:, n:]
-    obs = solve_care(A.T, C.T, np.eye(n), np.eye(qd))
-    return TrackingController(A=A, B=B, C=C, Kx=Kx, Ke=Ke, L=obs.K.T)
+    return TrackingController(A=A, B=B, C=C, Kx=Kx, Ke=Ke, L=design_observer_gain(A, C))
 
 
-def design_tracking_controllers(ns: NetworkedSystem, q_scale: float = 1.0,
-                                r_scale: float = 1.0, seed: int = 0,
-                                horizon: float = 50.0, dwell: float = 25.0,
-                                level: float = 0.2
-                                ) -> tuple[TrackingController, TrackingController, ReferenceSignal]:
-    """Per-cluster trackers (couplings dropped) plus a seeded reference.
+def design_tracking_controllers(ns: NetworkedSystem, r_scale: float = 1.0
+                                ) -> tuple[TrackingController, TrackingController]:
+    """Per-cluster trackers, couplings dropped.
 
-    Each subsystem gets one shared random piecewise-constant level across
-    its channels. Raises :class:`SynthesisError` if an augmented cluster
-    is not stabilizable for this parameter draw.
+    Raises :class:`SynthesisError` if an augmented cluster is not
+    stabilizable for this parameter draw.
     """
-    k1 = design_tracking_controller(ns.sub1.A, ns.sub1.B, ns.sub1.C, q_scale, r_scale)
-    k2 = design_tracking_controller(ns.sub2.A, ns.sub2.B, ns.sub2.C, q_scale, r_scale)
-    rng = np.random.default_rng(seed)
-    r1 = ReferenceSignal.random_levels(rng, horizon, dwell, ns.sub1.q,
-                                       -level, level, shared=True)
-    r2 = ReferenceSignal.random_levels(rng, horizon, dwell, ns.sub2.q,
-                                       -level, level, shared=True)
-    ref = ReferenceSignal(r1.times, np.hstack([r1.levels, r2.levels]))
-    return k1, k2, ref
+    return (design_tracking_controller(ns.sub1.A, ns.sub1.B, ns.sub1.C, r_scale),
+            design_tracking_controller(ns.sub2.A, ns.sub2.B, ns.sub2.C, r_scale))
 
 
 @dataclass(frozen=True)
@@ -323,23 +304,29 @@ def find_destabilizing_attack(ns: NetworkedSystem, k1: TrackingController,
     return None
 
 
-def grid_network(seed: int, max_resample: int = 5) -> tuple[GridModel, NetworkedSystem,
-                                                            TrackingController,
-                                                            TrackingController,
-                                                            ReferenceSignal, int]:
+def grid_network(seed: int, horizon: float = 50.0, dwell: float = 25.0,
+                 max_resample: int = 5) -> tuple[GridModel, NetworkedSystem,
+                                                 TrackingController, TrackingController,
+                                                 ReferenceSignal, int]:
     """Sample a grid and design its trackers, resampling on design failure.
 
     Returns (model, network, k1, k2, reference, seed_used); the seed
     increments on stabilizability failures, which are logged as warnings.
+    The reference over ``horizon`` redraws one level in [-0.2, 0.2] per
+    subsystem every ``dwell`` seconds from ``default_rng(seed_used)``.
     """
     s = seed
     for _ in range(max_resample):
         gm = GridModel.sample(s)
         ns = build_network(gm)
         try:
-            k1, k2, ref = design_tracking_controllers(ns, seed=s)
-            return gm, ns, k1, k2, ref, s
+            k1, k2 = design_tracking_controllers(ns)
         except SynthesisError as exc:
             _log.warning("grid seed %d: tracker design failed (%s); resampling", s, exc)
             s += 1
+            continue
+        rng = np.random.default_rng(s)
+        r1 = ReferenceSignal.random_levels(rng, horizon, dwell, ns.sub1.q)
+        r2 = ReferenceSignal.random_levels(rng, horizon, dwell, ns.sub2.q)
+        return gm, ns, k1, k2, ReferenceSignal(r1.times, np.hstack([r1.levels, r2.levels])), s
     raise SynthesisError(f"no stabilizable grid draw within {max_resample} seeds of {seed}")

@@ -56,7 +56,6 @@ def random_subsystem(rng: np.random.Generator, n: int, m: int = 1, q: int = 1,
 def random_networked_system(rng: np.random.Generator, n1: int = 3, n2: int = 3,
                             channels: tuple[int, int] = (1, 1),
                             with_dz: bool = False,
-                            coupling_scale: float = 1.0,
                             normalize_s: bool = False) -> NetworkedSystem:
     """Dense-coupled two-node network with R = I (always controllable).
 
@@ -68,8 +67,7 @@ def random_networked_system(rng: np.random.Generator, n1: int = 3, n2: int = 3,
     c1, c2 = channels
     s1 = random_subsystem(rng, n1, m=c1, q=c1, p=c1, p_peer=c2, with_dz=with_dz)
     s2 = random_subsystem(rng, n2, m=c2, q=c2, p=c2, p_peer=c1, with_dz=with_dz)
-    J1 = coupling_scale * s1.J
-    J2 = coupling_scale * s2.J
+    J1, J2 = s1.J, s2.J
     S1, S2 = s1.S, s2.S
     if normalize_s:
         g1 = np.linalg.svd(S1, compute_uv=False)[0]
@@ -95,13 +93,3 @@ def random_cascade_system(rng: np.random.Generator, n1: int = 3, n2: int = 3,
         raise ValueError("direction must be '1to2' or '2to1'")
     return NetworkedSystem(s1, s2, ns.R)
 
-
-def random_stabilizable_pair(rng: np.random.Generator, n: int,
-                             m: int = 1, max_tries: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Random controllable (A, B) with A allowed to be unstable."""
-    for _ in range(max_tries):
-        A = rng.normal(size=(n, n))
-        B = rng.normal(size=(n, m))
-        if is_controllable(A, B):
-            return A, B
-    raise RuntimeError("failed to sample a controllable pair")

@@ -8,8 +8,7 @@ power, [[Phi, Psi], [0, I]]^s = [[Phi^s, (sum_{j<s} Phi^j) Psi], [0, I]],
 so a run jumps from stored sample to stored sample and never forms the
 steps in between; a stride splits wherever the input changes level inside
 it, and a stride of one step is the step map itself. Divergence is checked
-at every stored sample. Arbitrary input callables fall back to stage
-evaluation, one step at a time.
+at every stored sample.
 """
 
 from __future__ import annotations
@@ -152,15 +151,22 @@ class Scenario:
             raise ValueError("segment start times must strictly increase")
         if self.horizon < starts[-1]:
             raise ValueError("horizon must reach the last segment")
-        if self.h <= 0 or self.store_every < 1:
-            raise ValueError("invalid step or storage stride")
-        check_samples(self.horizon, self.h, self.store_every)
+        check_run(self.horizon, self.h, self.store_every)
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
 
-def check_samples(T: float, h: float, store_every: int) -> None:
-    """Refuse a run over [0, T] that stores more than MAX_STORED_SAMPLES samples."""
+def check_run(T: float, h: float, store_every: int) -> None:
+    """Refuse a run over [0, T] with step h that stores every
+    ``store_every``-th step, unless h is positive and finite, T is
+    non-negative and finite, store_every is at least 1 and at most
+    MAX_STORED_SAMPLES samples are stored."""
+    if not 0 < h < np.inf:
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
+    if not 0 <= T < np.inf:
+        raise ValueError(f"horizon T must be non-negative and finite, got {T!r}")
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every!r}")
     samples = T / (h * store_every)
     if samples > MAX_STORED_SAMPLES:
         raise ValueError(f"T / (h * store_every) = {samples:.3g} stored samples "
@@ -254,59 +260,25 @@ def _affine_steps(Phi: np.ndarray, Psi: np.ndarray, x: np.ndarray, k0: int, k1: 
 
 def simulate(system: StateSpace, x0, inputs=None, T: float = 1.0, h: float = 1e-3,
              store_every: int = 1) -> Trajectory:
-    """Integrate x' = A x + B u(t) from x0 over [0, T].
+    """Integrate x' = A x + B u from x0 over [0, T].
 
-    ``inputs`` is None (zero input), a constant vector, or a callable
-    t -> u evaluated at the RK4 stage times. Divergence (non-finite state
-    or a state entry above 1e9 in magnitude) truncates the run and flags
-    the trajectory.
+    ``inputs`` is None (zero input) or a constant vector u. Divergence
+    (non-finite state or a state entry above 1e9 in magnitude) truncates
+    the run and flags the trajectory.
     """
-    if not 0 < h < np.inf:
-        raise ValueError(f"step h must be positive and finite, got {h!r}")
-    if not 0 <= T < np.inf:
-        raise ValueError(f"horizon T must be non-negative and finite, got {T!r}")
-    if store_every < 1:
-        raise ValueError(f"store_every must be at least 1, got {store_every!r}")
-    check_samples(T, h, store_every)
+    check_run(T, h, store_every)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != system.n:
         raise ValueError(f"x0 has {x0.size} entries, expected {system.n}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     check_step(system.A, h)
-    n_steps = int(round(T / h))
-    A, B = system.A, system.B
-
-    if not callable(inputs):
-        u = np.zeros(system.m) if inputs is None else np.asarray(inputs, dtype=float).reshape(-1)
-        if u.size != system.m:
-            raise ValueError("constant input width mismatch")
-        Phi, Psi = _rk4_step_maps(A, B, h)
-        _, X, U, steps, diverged = _affine_steps(Phi, Psi, x0, 0, n_steps, store_every,
-                                                 [0], u[None, :], include_end=True)
-    else:
-        u_fun = inputs
-        rows_x, rows_u, rows_k = [], [], []
-        x = x0.copy()
-        diverged = False
-        for k in range(n_steps + 1):
-            t = k * h
-            if k % store_every == 0:
-                rows_x.append(x)
-                rows_u.append(np.asarray(u_fun(t), dtype=float).reshape(-1))
-                rows_k.append(k)
-            if k == n_steps:
-                break
-            k1 = A @ x + B @ np.asarray(u_fun(t), dtype=float).reshape(-1)
-            k2 = A @ (x + 0.5 * h * k1) + B @ np.asarray(u_fun(t + 0.5 * h), dtype=float).reshape(-1)
-            k3 = A @ (x + 0.5 * h * k2) + B @ np.asarray(u_fun(t + 0.5 * h), dtype=float).reshape(-1)
-            k4 = A @ (x + h * k3) + B @ np.asarray(u_fun(t + h), dtype=float).reshape(-1)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if _diverged(x):
-                diverged = True
-                break
-        X, U, steps = np.asarray(rows_x), np.asarray(rows_u), np.asarray(rows_k)
-
+    u = np.zeros(system.m) if inputs is None else np.asarray(inputs, dtype=float).reshape(-1)
+    if u.size != system.m:
+        raise ValueError("constant input width mismatch")
+    Phi, Psi = _rk4_step_maps(system.A, system.B, h)
+    _, X, U, steps, diverged = _affine_steps(Phi, Psi, x0, 0, int(round(T / h)), store_every,
+                                             [0], u[None, :], include_end=True)
     times = steps.astype(float) * h
     Y = X @ system.C.T + U @ system.D.T
     return Trajectory(times=times, states=X, comp_states=np.zeros((X.shape[0], 0)),

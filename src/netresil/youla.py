@@ -30,18 +30,12 @@ import numpy as np
 from .lti import (StateSpace, eval_frequency, feedback_interconnect, is_hurwitz,
                   spectral_abscissa)
 from .network import NetworkedSystem, Subsystem, close_local_controllers, interconnect, is_cascade
-from .synthesis import solve_care
+from .synthesis import design_observer_gain, design_theta
 
 
-def design_nominal_gains(sub: Subsystem, seed_weights: tuple[float, float] = (1.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
+def design_nominal_gains(sub: Subsystem) -> tuple[np.ndarray, np.ndarray]:
     """Unit-weight LQR state feedback F and dual output injection H for a node."""
-    qw, rw = seed_weights
-    n = sub.n
-    sol_f = solve_care(sub.A, sub.B, qw * np.eye(n), rw * np.eye(sub.m))
-    F = -sol_f.K
-    sol_h = solve_care(sub.A.T, sub.C.T, qw * np.eye(n), rw * np.eye(sub.q))
-    H = sol_h.K.T
-    return F, H
+    return design_theta(sub.A, sub.B), design_observer_gain(sub.A, sub.C)
 
 
 @dataclass(frozen=True)
@@ -138,25 +132,6 @@ class GeneralizedPlant:
         """Coupling-to-innovation factor C (sI - (A - HC))^-1 (J - H Dz) + Dz."""
         return StateSpace(self.sub.A - self.H @ self.sub.C,
                           self.sub.J - self.H @ self.sub.Dz, self.sub.C, self.sub.Dz)
-
-
-def local_map_delta(gp: GeneralizedPlant, Q: StateSpace) -> StateSpace:
-    """Realization of the closed node's coupling-to-interaction map d -> z.
-
-    Closes :func:`realize_controller` over the measured output; the
-    frequency response equals sigma_dz + Q sigma_uz sigma_dy pointwise.
-    """
-    sub = gp.sub
-    kappa = realize_controller(sub, YoulaController(gp.F, gp.H, Q))
-    p_in, m, p_out, q = sub.p_peer, sub.m, sub.p, sub.q
-    B_aug = np.hstack([sub.J, sub.B])
-    C_aug = np.vstack([sub.S, sub.C])
-    D_aug = np.zeros((p_out + q, p_in + m))
-    D_aug[p_out:, :p_in] = sub.Dz
-    plant_aug = StateSpace(sub.A, B_aug, C_aug, D_aug)
-    return feedback_interconnect(plant_aug, kappa,
-                                 input_map=list(range(p_in, p_in + m)),
-                                 output_map=list(range(p_out, p_out + q)))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,23 @@ def dense_siso(rng):
 
 
 @pytest.fixture
+def random_stabilizable_pair():
+    """Sampler ``draw(rng, n, m)`` of a random controllable (A, B), n x n
+    and n x m, with A allowed to be unstable."""
+    from netresil.lti import is_controllable
+
+    def draw(rng, n, m):
+        for _ in range(50):
+            A = rng.normal(size=(n, n))
+            B = rng.normal(size=(n, m))
+            if is_controllable(A, B):
+                return A, B
+        raise RuntimeError("failed to sample a controllable pair")
+
+    return draw
+
+
+@pytest.fixture
 def l2_cross_check():
     """Check a trapezoidal L2 norm of an autonomous run against the
     Lyapunov closed form.

@@ -246,6 +246,16 @@ class TestInputBoundary:
         assert "Gamma is (6, 2), expected (6, 4)" in line
         assert "Xi is (2, 6), expected (4, 6)" in line
 
+    @pytest.mark.parametrize("argv", [["check", "{deep}"], ["simulate", "{deep}"],
+                                      ["simulate", "{cascade}", "--compensator", "{deep}"]])
+    def test_deeply_nested_json(self, fixtures, tmp_path, capsys, argv):
+        """JSON nested past the recursion limit is one error line, not a traceback."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        argv = [a.format(deep=deep, **fixtures) for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 1
+        assert "cannot load" in self._one_error_line(capsys)
+
     def test_malformed_compensator(self, fixtures, tmp_path, capsys):
         path = tmp_path / "comp.json"
         path.write_text(json.dumps({"Lambda": [[-1.0]], "Gamma": [[0.0]], "Xi": [[1.0]],

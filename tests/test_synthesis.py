@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netresil.lti import StateSpace, default_grid, eval_frequency, is_hurwitz
-from netresil.sampling import random_stabilizable_pair, random_stable_statespace
+from netresil.sampling import random_stable_statespace
 from netresil.synthesis import (SynthesisError, care_residual,
                                 design_observer_gain, design_theta,
                                 design_theta_gamma_scan, hinf_norm, solve_care)
@@ -21,7 +21,7 @@ class TestSolveCare:
         assert sol.P[0, 0] == pytest.approx(0.5)
         assert np.allclose(sol.K, 0.0)
 
-    def test_random_residual_self_oracle(self, rng):
+    def test_random_residual_self_oracle(self, rng, random_stabilizable_pair):
         for _ in range(5):
             A, B = random_stabilizable_pair(rng, 4, 2)
             sol = solve_care(A, B, np.eye(4), np.eye(2))
@@ -62,20 +62,20 @@ class TestGainDesign:
         H = design_observer_gain([[-1.0]], [[1.0]])
         assert -1.0 - H[0, 0] * 1.0 <= -1.0
 
-    def test_observer_random(self, rng):
+    def test_observer_random(self, rng, random_stabilizable_pair):
         A, C_t = random_stabilizable_pair(rng, 4, 1)
         C = C_t.T
         H = design_observer_gain(A, C)
         ok, _ = is_hurwitz(A - H @ C, margin=0.0)
         assert ok
 
-    def test_duality_transposes(self, rng):
+    def test_duality_transposes(self, rng, random_stabilizable_pair):
         A, B = random_stabilizable_pair(rng, 3, 1)
         th = design_theta(A, B)
         H = design_observer_gain(A.T, B.T)
         assert np.allclose(th, -H.T, atol=1e-9)
 
-    def test_gamma_scan_beats_or_ties_plain(self, rng):
+    def test_gamma_scan_beats_or_ties_plain(self, rng, random_stabilizable_pair):
         A, R = random_stabilizable_pair(rng, 4, 2)
         Gamma = rng.standard_normal((4, 2))
         theta_scan, g_scan = design_theta_gamma_scan(A, R, Gamma)
@@ -83,7 +83,7 @@ class TestGainDesign:
         g_plain = hinf_norm(StateSpace(A + R @ theta_plain, Gamma, np.eye(4), None)).norm
         assert g_scan <= g_plain * (1 + 1e-6)
 
-    def test_gamma_scan_zero_gamma(self, rng):
+    def test_gamma_scan_zero_gamma(self, rng, random_stabilizable_pair):
         A, R = random_stabilizable_pair(rng, 3, 1)
         theta, g = design_theta_gamma_scan(A, R, np.zeros((3, 1)))
         assert g == 0.0

@@ -10,8 +10,27 @@ from netresil.sampling import (random_cascade_system, random_networked_system,
 from netresil.synthesis import solve_care
 from netresil.youla import (AllPassParam, GeneralizedPlant, YoulaController,
                             allpass_fit, allpass_ss, design_nominal_gains,
-                            destabilizer_search, local_map_delta,
-                            realize_controller, zero_parameter)
+                            destabilizer_search, realize_controller,
+                            zero_parameter)
+
+
+def local_map_delta(gp: GeneralizedPlant, Q: StateSpace) -> StateSpace:
+    """Realization of the closed node's coupling-to-interaction map d -> z.
+
+    Closes :func:`realize_controller` over the measured output; the
+    frequency response equals sigma_dz + Q sigma_uz sigma_dy pointwise.
+    """
+    sub = gp.sub
+    kappa = realize_controller(sub, YoulaController(gp.F, gp.H, Q))
+    p_in, m, p_out, q = sub.p_peer, sub.m, sub.p, sub.q
+    B_aug = np.hstack([sub.J, sub.B])
+    C_aug = np.vstack([sub.S, sub.C])
+    D_aug = np.zeros((p_out + q, p_in + m))
+    D_aug[p_out:, :p_in] = sub.Dz
+    plant_aug = StateSpace(sub.A, B_aug, C_aug, D_aug)
+    return feedback_interconnect(plant_aug, kappa,
+                                 input_map=list(range(p_in, p_in + m)),
+                                 output_map=list(range(p_out, p_out + q)))
 
 
 def delta_response(gp: GeneralizedPlant, Q: StateSpace, omegas) -> np.ndarray:
