@@ -9,12 +9,11 @@ experiment end to end.
 """
 
 from .lti import (FrequencyResponse, StateSpace, blockdiag, default_grid,
-                  eval_frequency, feedback_interconnect, is_hurwitz, parallel,
-                  series, spectral_abscissa)
+                  eval_frequency, feedback_interconnect, is_hurwitz,
+                  spectral_abscissa)
 from .network import (CascadeVerdict, NetworkedSystem, ResilienceReport,
                       Subsystem, interconnect, is_cascade, is_weakly_resilient)
-from .compensator import (Compensator, ObserverCompensator, PerformanceBound,
-                          attach_compensator, attach_observer_compensator,
+from .compensator import (Compensator, PerformanceBound, attach_compensator,
                           cascade_reference, performance_bound,
                           synthesize_compensator,
                           synthesize_observer_compensator, verify_triangular)
@@ -33,17 +32,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AllPassParam", "CascadeVerdict", "Compensator", "DestabilizerResult",
     "FrequencyResponse", "GeneralizedPlant", "HinfResult", "NetworkedSystem",
-    "ObserverCompensator", "PerformanceBound", "ReferenceSignal",
-    "ResilienceReport", "RiccatiSolution", "Scenario", "StateSpace",
-    "Subsystem", "SynthesisError", "Trajectory", "YoulaController",
-    "allpass_fit", "allpass_ss", "attach_compensator",
-    "attach_observer_compensator", "blockdiag", "cascade_reference",
+    "PerformanceBound", "ReferenceSignal", "ResilienceReport",
+    "RiccatiSolution", "Scenario", "StateSpace", "Subsystem",
+    "SynthesisError", "Trajectory", "YoulaController", "allpass_fit",
+    "allpass_ss", "attach_compensator", "blockdiag", "cascade_reference",
     "default_grid", "design_nominal_gains", "design_observer_gain",
     "design_theta", "destabilizer_search", "eval_frequency",
     "feedback_interconnect", "hinf_norm", "interconnect", "is_cascade",
     "is_hurwitz", "is_weakly_resilient", "l2_energy", "l2_norm",
-    "parallel", "performance_bound", "realize_controller",
-    "run_scenario", "series", "simulate", "solve_care", "spectral_abscissa",
-    "synthesize_compensator", "synthesize_observer_compensator",
-    "verify_triangular",
+    "performance_bound", "realize_controller", "run_scenario", "simulate",
+    "solve_care", "spectral_abscissa", "synthesize_compensator",
+    "synthesize_observer_compensator", "verify_triangular",
 ]

@@ -16,7 +16,9 @@ an unstable network; 1 on malformed input, an invalid flag value or any
 other synthesis failure. Every error is one ``error: ...`` line on stderr.
 Numeric flags are checked when parsed; a run that would store more than
 ``simulate.MAX_STORED_SAMPLES`` samples, an unusable output path and a
-failed write also exit 1.
+failed write also exit 1. ``simulate`` lowers ``--h`` to half the largest
+step the step guard admits for the plant, and names that step when the run
+it gives is refused.
 """
 
 from __future__ import annotations
@@ -132,6 +134,12 @@ def cmd_simulate(args) -> int:
     x0 = np.zeros(plant.n)
     x0[xs] = rng.standard_normal(ns.n)
     h = min(args.h, 0.5 * max_step(plant.A))
+    if h < args.h:
+        try:
+            check_run(args.T, h, args.store_every)
+        except ValueError as exc:
+            raise ValueError(f"the step guard lowers --h {args.h:g} to h={h:.3g} "
+                             f"for this plant: {exc}") from exc
     traj = simulate(plant, x0, None, T=args.T, h=h, store_every=args.store_every)
     # split the compensator block out for the CSV layout
     traj = Trajectory(times=traj.times, states=traj.states[:, xs],
@@ -195,12 +203,10 @@ def cmd_grid_demo(args) -> int:
 
     comp = None
     if not args.no_compensator:
-        if args.observer:
-            comp = synthesize_observer_compensator(ns, theta_policy=args.theta_policy)
-            pb = performance_bound(comp.base, ns)
-        else:
-            comp = synthesize_compensator(ns, theta_policy=args.theta_policy)
-            pb = performance_bound(comp, ns)
+        synthesize = (synthesize_observer_compensator if args.observer
+                      else synthesize_compensator)
+        comp = synthesize(ns, theta_policy=args.theta_policy)
+        pb = performance_bound(comp, ns)
         summary["gamma"] = pb.gamma
         summary["bound_factor"] = pb.factor
 

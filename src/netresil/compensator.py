@@ -20,7 +20,7 @@ compensator's disturbance channel.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from .lti import StateSpace, default_grid, eval_frequency, is_hurwitz
@@ -31,7 +31,12 @@ from .synthesis import (HinfResult, SynthesisError, design_observer_gain,
 
 @dataclass(frozen=True)
 class Compensator:
-    """Supervisory compensator matrices; eta is the state dimension."""
+    """Supervisory compensator matrices; eta is the state dimension.
+
+    ``observer_gain`` (eta x p_total), when given, feeds the compensator
+    from an observer of the interaction output instead of z itself (see
+    :func:`synthesize_observer_compensator`).
+    """
 
     Lambda_: np.ndarray
     Gamma: np.ndarray
@@ -39,9 +44,13 @@ class Compensator:
     Theta: np.ndarray
     eta: int
     cut: str = "1to2"
+    observer_gain: np.ndarray | None = None
 
     def __post_init__(self):
-        for attr in ("Lambda_", "Gamma", "Xi", "Theta"):
+        attrs = ("Lambda_", "Gamma", "Xi", "Theta")
+        if self.observer_gain is not None:
+            attrs += ("observer_gain",)
+        for attr in attrs:
             M = np.asarray(getattr(self, attr), dtype=float)
             if M.ndim != 2:
                 raise ValueError(f"compensator {attr.rstrip('_')} must be a matrix, "
@@ -56,11 +65,13 @@ class Compensator:
     def _check_shapes(self, what: str, p: int | None = None, q: int | None = None,
                       r: int | None = None) -> None:
         """Raise naming every matrix whose shape differs from the layout
-        Lambda (eta, eta), Gamma (eta, p), Xi (q, eta), Theta (r, eta);
-        a dimension given as None is not checked."""
+        Lambda (eta, eta), Gamma (eta, p), Xi (q, eta), Theta (r, eta) and
+        observer_gain (eta, p); a dimension given as None is not checked."""
         eta = self.eta
         want = {"Lambda": (self.Lambda_, (eta, eta)), "Gamma": (self.Gamma, (eta, p)),
                 "Xi": (self.Xi, (q, eta)), "Theta": (self.Theta, (r, eta))}
+        if self.observer_gain is not None:
+            want["observer_gain"] = (self.observer_gain, (eta, p))
         bad = []
         for name, (M, shape) in want.items():
             if any(d is not None and d != got for d, got in zip(shape, M.shape)):
@@ -78,6 +89,9 @@ class Compensator:
                            p=ns.p_total, q=ns.q, r=ns.R.shape[1])
 
     def to_dict(self) -> dict:
+        if self.observer_gain is not None:
+            raise ValueError("the compensator JSON format has no observer gain; "
+                             "an observer-fed compensator cannot be written")
         return {"Lambda": self.Lambda_.tolist(), "Gamma": self.Gamma.tolist(),
                 "Xi": self.Xi.tolist(), "Theta": self.Theta.tolist(),
                 "eta": self.eta, "cut": self.cut}
@@ -89,21 +103,14 @@ class Compensator:
                    int(d["eta"]), d.get("cut", "1to2"))
 
     def to_json(self, path) -> None:
+        payload = self.to_dict()
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            json.dump(payload, fh, indent=1)
 
     @classmethod
     def from_json(cls, path) -> "Compensator":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-@dataclass(frozen=True)
-class ObserverCompensator:
-    """Compensator driven by an interaction-output observer instead of z."""
-
-    base: Compensator
-    H: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -185,23 +192,37 @@ def synthesize_compensator(ns: NetworkedSystem, theta_policy: str = "gamma_scan"
 
 
 def attach_compensator(ns: NetworkedSystem, comp: Compensator) -> StateSpace:
-    """Compensated plant over (u -> y), state (phi, x):
+    """Compensated plant over (u -> y), state (phi, xhat, x):
 
-        [phi'] = [[Lambda,  Gamma dg(S)], [R Theta, A]] [phi; x] + [0; B] u
-        y      = -dg(C) phi + dg(C) x
+        phi'  = Lambda phi + Gamma dg(S) w
+        xhat' = R Theta phi + (A - H dg(S)) xhat + H dg(S) x + B u
+        x'    = R Theta phi + A x + B u
+        y     = Xi phi + dg(C) x
+
+    The observer block xhat is present only when the compensator has an
+    observer gain H; the compensator reads w from state columns n:2n,
+    which hold xhat with an observer and x without one.
     """
     _require_zero_feedthrough(ns)
     comp.check_fits(ns)
     sigma = interconnect(ns)
-    n = ns.n
+    n, H = ns.n, comp.observer_gain
+    N = (2 if H is None else 3) * n
     dgS = ns.interaction_map()
-    dgC = ns.output_map()
-    A = np.block([
-        [comp.Lambda_, comp.Gamma @ dgS],
-        [ns.R @ comp.Theta, sigma.A],
-    ])
-    B = np.vstack([np.zeros((n, ns.m)), sigma.B])
-    C = np.hstack([comp.Xi, dgC])
+    RTh = ns.R @ comp.Theta
+    A, B, C = np.zeros((N, N)), np.zeros((N, ns.m)), np.zeros((ns.q, N))
+    A[:n, :n] = comp.Lambda_
+    A[:n, n:2 * n] = comp.Gamma @ dgS
+    for i in range(n, N, n):            # xhat and x rows
+        A[i:i + n, :n] = RTh
+        B[i:i + n] = sigma.B
+    A[N - n:, N - n:] = sigma.A
+    if H is not None:
+        HS = H @ dgS
+        A[n:2 * n, n:2 * n] = sigma.A - HS
+        A[n:2 * n, 2 * n:] = HS
+    C[:, :n] = comp.Xi
+    C[:, N - n:] = ns.output_map()
     return StateSpace(A, B, C, None)
 
 
@@ -295,7 +316,7 @@ def performance_bound(comp: Compensator, ns: NetworkedSystem,
 
 def synthesize_observer_compensator(ns: NetworkedSystem,
                                     theta_policy: str = "gamma_scan",
-                                    cut: str | None = None) -> ObserverCompensator:
+                                    cut: str | None = None) -> Compensator:
     """Compensator fed by an observer of the interaction output w = dg(S) x.
 
     The observer
@@ -310,44 +331,20 @@ def synthesize_observer_compensator(ns: NetworkedSystem,
     stable, absc = is_hurwitz(sigma.A - H @ S)
     if not stable:
         raise SynthesisError(f"A - H S not Hurwitz (abscissa {absc:.3e})")
-    return ObserverCompensator(base=base, H=H)
+    return replace(base, observer_gain=H)
 
 
-def attach_observer_compensator(ns: NetworkedSystem,
-                                oc: ObserverCompensator) -> StateSpace:
-    """Compensated plant with observer, state (phi, xhat, x) over (u -> y)."""
-    _require_zero_feedthrough(ns)
-    comp = oc.base
-    comp.check_fits(ns)
-    sigma = interconnect(ns)
-    n = ns.n
-    dgS = ns.interaction_map()
-    dgC = ns.output_map()
-    RTh = ns.R @ comp.Theta
-    HS = oc.H @ dgS
-    A = np.block([
-        [comp.Lambda_, comp.Gamma @ dgS, np.zeros((n, n))],
-        [RTh, sigma.A - HS, HS],
-        [RTh, np.zeros((n, n)), sigma.A],
-    ])
-    B = np.vstack([np.zeros((n, ns.m)), sigma.B, sigma.B])
-    C = np.hstack([comp.Xi, np.zeros((ns.q, n)), dgC])
-    return StateSpace(A, B, C, None)
-
-
-def compensated_plant(ns: NetworkedSystem,
-                      comp: Compensator | ObserverCompensator | None
+def compensated_plant(ns: NetworkedSystem, comp: Compensator | None
                       ) -> tuple[StateSpace, slice, slice]:
-    """Plant over (u -> y) with no compensator, a compensator or an
-    observer-fed one attached, plus the slices of its state that hold the
-    compensator state phi and the physical state x.
+    """Plant over (u -> y) with no compensator or with ``comp`` attached,
+    plus the slices of its state that hold the compensator state phi and
+    the physical state x.
 
-    The state is x, (phi, x) or (phi, xhat, x) respectively; phi is empty
-    when ``comp`` is None.
+    The state is x, (phi, x) or, with an observer gain, (phi, xhat, x);
+    phi is empty when ``comp`` is None.
     """
     n = ns.n
     if comp is None:
         return interconnect(ns), slice(0, 0), slice(0, n)
-    if isinstance(comp, ObserverCompensator):
-        return attach_observer_compensator(ns, comp), slice(0, n), slice(2 * n, 3 * n)
-    return attach_compensator(ns, comp), slice(0, n), slice(n, 2 * n)
+    plant = attach_compensator(ns, comp)
+    return plant, slice(0, n), slice(plant.n - n, plant.n)

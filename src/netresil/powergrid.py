@@ -43,6 +43,7 @@ PARAM_RANGES = {
 }
 N_GEN = 5
 DEFAULT_CLUSTERING = ((1, 2, 3), (4, 5))
+MAX_RESAMPLE = 5                        # grid draws tried by grid_network
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,10 @@ def load_reduced_admittance() -> tuple[np.ndarray, dict]:
 
 @dataclass(frozen=True)
 class GridModel:
-    """Five generators, a symmetric coupling matrix and the 3/2 clustering."""
+    """Five generators and a symmetric coupling matrix."""
 
     generators: tuple
     Y: np.ndarray
-    clustering: tuple = DEFAULT_CLUSTERING
-    seed: int = 0
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -108,47 +107,20 @@ class GridModel:
             raise ValueError("Y must be 5x5")
         if np.abs(Y - Y.T).max() > 1e-9 * max(1.0, np.abs(Y).max()):
             raise ValueError("Y must be symmetric")
-        cl = tuple(tuple(int(i) for i in grp) for grp in self.clustering)
-        if sorted(i for grp in cl for i in grp) != list(range(1, N_GEN + 1)):
-            raise ValueError("clustering must partition generators 1..5")
         Y.setflags(write=False)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "clustering", cl)
 
     @classmethod
-    def sample(cls, seed: int, Y: np.ndarray | None = None,
-               clustering=DEFAULT_CLUSTERING) -> "GridModel":
+    def sample(cls, seed: int) -> "GridModel":
+        """Generators drawn from ``default_rng(seed)``, the bundled Y."""
         rng = np.random.default_rng(seed)
         gens = tuple(GeneratorParams.sample(rng) for _ in range(N_GEN))
-        if Y is None:
-            Y, _ = load_reduced_admittance()
-        return cls(generators=gens, Y=Y, clustering=clustering, seed=seed)
-
-    def to_dict(self) -> dict:
-        return {"generators": [vars(g) for g in self.generators],
-                "Y": self.Y.tolist(),
-                "clustering": [list(g) for g in self.clustering],
-                "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridModel":
-        seed = int(d.get("seed", 0))
-        rng = np.random.default_rng(seed)
-        gens = []
-        given = d.get("generators", [])
-        for k in range(N_GEN):
-            if k < len(given) and given[k]:
-                gens.append(GeneratorParams(**given[k]))
-            else:
-                gens.append(GeneratorParams.sample(rng))
-        Y = np.asarray(d["Y"], dtype=float) if "Y" in d else load_reduced_admittance()[0]
-        clustering = tuple(tuple(g) for g in d.get("clustering", DEFAULT_CLUSTERING))
-        return cls(generators=tuple(gens), Y=Y, clustering=clustering, seed=seed)
+        return cls(generators=gens, Y=load_reduced_admittance()[0])
 
 
 def build_network(gm: GridModel) -> NetworkedSystem:
-    """Assemble the clustered two-subsystem network.
+    """Assemble the two-subsystem network clustered as DEFAULT_CLUSTERING.
 
     The full 20-state drift is dg(A_k) - dg(b_tau_k) Y dg(c); cluster
     blocks of Y stay inside each subsystem while the cross blocks form the
@@ -158,7 +130,7 @@ def build_network(gm: GridModel) -> NetworkedSystem:
     commands).
     """
     mats = [generator_matrices(p) for p in gm.generators]
-    groups = [[i - 1 for i in grp] for grp in gm.clustering]
+    groups = [[i - 1 for i in grp] for grp in DEFAULT_CLUSTERING]
 
     def cluster(idx):
         A = sla.block_diag(*[mats[k][0] for k in idx])
@@ -304,19 +276,19 @@ def find_destabilizing_attack(ns: NetworkedSystem, k1: TrackingController,
     return None
 
 
-def grid_network(seed: int, horizon: float = 50.0, dwell: float = 25.0,
-                 max_resample: int = 5) -> tuple[GridModel, NetworkedSystem,
-                                                 TrackingController, TrackingController,
-                                                 ReferenceSignal, int]:
+def grid_network(seed: int, horizon: float = 50.0, dwell: float = 25.0
+                 ) -> tuple[GridModel, NetworkedSystem, TrackingController,
+                            TrackingController, ReferenceSignal, int]:
     """Sample a grid and design its trackers, resampling on design failure.
 
     Returns (model, network, k1, k2, reference, seed_used); the seed
-    increments on stabilizability failures, which are logged as warnings.
+    increments on stabilizability failures, which are logged as warnings,
+    for at most MAX_RESAMPLE draws.
     The reference over ``horizon`` redraws one level in [-0.2, 0.2] per
     subsystem every ``dwell`` seconds from ``default_rng(seed_used)``.
     """
     s = seed
-    for _ in range(max_resample):
+    for _ in range(MAX_RESAMPLE):
         gm = GridModel.sample(s)
         ns = build_network(gm)
         try:
@@ -329,4 +301,4 @@ def grid_network(seed: int, horizon: float = 50.0, dwell: float = 25.0,
         r1 = ReferenceSignal.random_levels(rng, horizon, dwell, ns.sub1.q)
         r2 = ReferenceSignal.random_levels(rng, horizon, dwell, ns.sub2.q)
         return gm, ns, k1, k2, ReferenceSignal(r1.times, np.hstack([r1.levels, r2.levels])), s
-    raise SynthesisError(f"no stabilizable grid draw within {max_resample} seeds of {seed}")
+    raise SynthesisError(f"no stabilizable grid draw within {MAX_RESAMPLE} seeds of {seed}")

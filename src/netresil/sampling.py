@@ -10,14 +10,13 @@ from .network import NetworkedSystem, Subsystem
 
 def random_stable_statespace(rng: np.random.Generator, n: int, m: int = 1,
                              q: int = 1, gain: float = 1.0,
-                             min_margin: float = 0.1,
-                             max_margin: float = 2.0) -> StateSpace:
-    """Random internally stable system; spectrum shifted left by a random
-    margin, outputs scaled by ``gain``."""
+                             min_margin: float = 0.1) -> StateSpace:
+    """Random internally stable system; spectrum shifted left by a margin
+    drawn from [min_margin, 2], outputs scaled by ``gain``."""
     if n == 0:
         return StateSpace.from_gain(gain * rng.normal(size=(q, m)))
     A = rng.normal(size=(n, n))
-    A = A - (np.linalg.eigvals(A).real.max() + rng.uniform(min_margin, max_margin)) * np.eye(n)
+    A = A - (np.linalg.eigvals(A).real.max() + rng.uniform(min_margin, 2.0)) * np.eye(n)
     B = rng.normal(size=(n, m))
     C = gain * rng.normal(size=(q, n))
     D = gain * rng.normal(size=(q, m))
@@ -31,16 +30,16 @@ def _eig_margin(A: np.ndarray) -> float:
 
 
 def random_subsystem(rng: np.random.Generator, n: int, m: int = 1, q: int = 1,
-                     p: int = 1, p_peer: int = 1, with_dz: bool = False,
-                     axis_margin: float = 0.02, max_tries: int = 50) -> Subsystem:
+                     p: int = 1, p_peer: int = 1, with_dz: bool = False) -> Subsystem:
     """Random controllable/observable node with dense coupling maps.
 
-    Eigenvalues of A are kept at least ``axis_margin`` away from the
-    imaginary axis so frequency-grid evaluations stay well conditioned.
+    Eigenvalues of A are kept at least 0.02 away from the imaginary axis
+    so frequency-grid evaluations stay well conditioned; a node is drawn
+    at most 50 times.
     """
-    for _ in range(max_tries):
+    for _ in range(50):
         A = rng.normal(size=(n, n))
-        if _eig_margin(A) < axis_margin:
+        if _eig_margin(A) < 0.02:
             continue
         B = rng.normal(size=(n, m))
         C = rng.normal(size=(q, n))

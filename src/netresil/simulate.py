@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .compensator import Compensator, ObserverCompensator, compensated_plant
+from .compensator import Compensator, compensated_plant
 from .lti import StateSpace, blockdiag, feedback_interconnect, spectral_abscissa
 from .network import NetworkedSystem
 
@@ -107,20 +107,15 @@ class ReferenceSignal:
 
     @classmethod
     def random_levels(cls, rng: np.random.Generator, horizon: float, dwell: float,
-                      width: int, lo: float = -0.2, hi: float = 0.2,
-                      shared: bool = True) -> "ReferenceSignal":
-        """Random levels redrawn every ``dwell`` seconds; ``shared`` draws
-        one level broadcast across all channels."""
+                      width: int) -> "ReferenceSignal":
+        """Random levels in [-0.2, 0.2] redrawn every ``dwell`` seconds, one
+        level per draw broadcast across all ``width`` channels."""
         if horizon / dwell > MAX_STORED_SAMPLES:
             raise ValueError(f"horizon / dwell = {horizon / dwell:.3g} reference levels "
                              f"exceeds the limit of {MAX_STORED_SAMPLES:,}")
         k = max(1, int(np.ceil(horizon / dwell)))
         times = np.arange(k) * dwell
-        if shared:
-            lv = np.repeat(rng.uniform(lo, hi, size=(k, 1)), width, axis=1)
-        else:
-            lv = rng.uniform(lo, hi, size=(k, width))
-        return cls(times, lv)
+        return cls(times, np.repeat(rng.uniform(-0.2, 0.2, size=(k, 1)), width, axis=1))
 
 
 @dataclass(frozen=True)
@@ -324,7 +319,7 @@ def closed_tracking_loop(plant: StateSpace, controllers: Sequence[StateSpace],
                                  input_map=range(m), output_map=looped)
 
 
-def run_scenario(ns: NetworkedSystem, comp: Compensator | ObserverCompensator | None,
+def run_scenario(ns: NetworkedSystem, comp: Compensator | None,
                  scenario: Scenario,
                  controllers: Mapping[str, Sequence[StateSpace]]
                  ) -> tuple[Trajectory, list[SegmentReport]]:

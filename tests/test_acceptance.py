@@ -302,8 +302,8 @@ def test_criterion_8_grid_demo_qualitative():
                    "attacked": (att.kappa1, att.kappa2)}
     horizon = 1400.0
     rng = np.random.default_rng(1)
-    r1 = ReferenceSignal.random_levels(rng, horizon, 100.0, 3, shared=True)
-    r2 = ReferenceSignal.random_levels(rng, horizon, 100.0, 2, shared=True)
+    r1 = ReferenceSignal.random_levels(rng, horizon, 100.0, 3)
+    r2 = ReferenceSignal.random_levels(rng, horizon, 100.0, 2)
     ref = ReferenceSignal(r1.times, np.hstack([r1.levels, r2.levels]))
     loop = closed_tracking_loop(attach_compensator(ns, comp),
                                 controllers["nominal"], q_dims)

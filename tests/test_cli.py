@@ -296,6 +296,19 @@ class TestInputBoundary:
         assert "too large" in self._one_error_line(capsys)
 
 
+    def test_guard_lowered_step_is_named(self, fixtures, tmp_path, capsys):
+        """A stiff plant lowers --h below what the sample limit admits; the
+        error names the guard-limited step, not the --h that was given."""
+        stiff = json.loads(open(fixtures["dense"]).read())
+        stiff["sub1"]["A"][0][0] = -1e6
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(stiff))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "b")]) == 1
+        line = self._one_error_line(capsys)
+        assert "step guard lowers --h 0.001 to h=" in line
+        assert "stored samples exceeds the limit" in line
+
+
 class TestGridDemo:
     def test_three_segment_timeline(self, tmp_path):
         out = tmp_path / "g1"

@@ -1,8 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from netresil.compensator import (Compensator, attach_compensator,
-                                  attach_observer_compensator,
                                   cascade_reference, compensated_plant,
                                   default_cut,
                                   performance_bound,
@@ -324,22 +325,42 @@ class TestL2Bound:
 
 
 class TestObserverCompensator:
-    def test_scalar_observer_arithmetic(self):
-        # A = 1, S = 1, H = 3: A - HS = -2 Hurwitz
-        assert 1.0 - 3.0 * 1.0 == -2.0
+    @pytest.mark.parametrize("gain, match", [
+        (np.ones((3, 2)), r"observer_gain is \(3, 2\), expected \(2, \*\)"),
+        (np.ones(2), "observer_gain must be a matrix"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "observer_gain contains non-finite"),
+    ])
+    def test_bad_gain_rejected(self, gain, match):
+        comp = synthesize_compensator(scalar_network())
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(comp, observer_gain=gain)
+
+    def test_gain_columns_checked_against_network(self):
+        ns = scalar_network()
+        comp = dataclasses.replace(synthesize_compensator(ns), observer_gain=np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"observer_gain is \(2, 3\), expected \(2, 2\)"):
+            attach_compensator(ns, comp)
+
+    def test_observer_fed_compensator_is_not_serialized(self, tmp_path):
+        oc = synthesize_observer_compensator(scalar_network())
+        with pytest.raises(ValueError, match="observer gain"):
+            oc.to_dict()
+        with pytest.raises(ValueError, match="observer gain"):
+            oc.to_json(tmp_path / "comp.json")
+        assert not (tmp_path / "comp.json").exists()
 
     def test_full_measurement_observer(self, rng):
         ns = random_networked_system(rng, 2, 2)
         oc = synthesize_observer_compensator(ns)
         sigma = interconnect(ns)
         S = ns.interaction_map()
-        ok, _ = is_hurwitz(sigma.A - oc.H @ S, margin=0.0)
+        ok, _ = is_hurwitz(sigma.A - oc.observer_gain @ S, margin=0.0)
         assert ok
 
     def test_observer_closed_loop_sweep(self, rng):
         ns = random_networked_system(rng, 3, 2)
         oc = synthesize_observer_compensator(ns)
-        sysc = attach_observer_compensator(ns, oc)
+        sysc = attach_compensator(ns, oc)
         assert sysc.n == 3 * ns.n
         F1, H1 = design_nominal_gains(ns.sub1)
         F2, H2 = design_nominal_gains(ns.sub2)
@@ -368,3 +389,19 @@ class TestCompensatedPlant:
             state = np.zeros(plant.n)
             state[xs] = x
             assert np.allclose(plant.C @ state, ns.output_map() @ x, rtol=1e-12, atol=1e-12)
+
+    def test_exact_estimate_follows_direct_layout(self, rng):
+        """With xhat = x the observer-fed plant moves phi and x as the
+        direct one does, and xhat with x."""
+        ns = random_networked_system(rng, 3, 2, channels=(2, 1))
+        n = ns.n
+        observed = synthesize_observer_compensator(ns)
+        direct = dataclasses.replace(observed, observer_gain=None)
+        po, pd = attach_compensator(ns, observed), attach_compensator(ns, direct)
+        assert (po.n, pd.n) == (3 * n, 2 * n)
+        phi, x, u = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(ns.m)
+        so, sd = np.concatenate([phi, x, x]), np.concatenate([phi, x])
+        do, dd = po.A @ so + po.B @ u, pd.A @ sd + pd.B @ u
+        for block, want in ((do[:n], dd[:n]), (do[n:2 * n], dd[n:]), (do[2 * n:], dd[n:])):
+            assert np.allclose(block, want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(po.C @ so, pd.C @ sd, rtol=1e-12, atol=1e-12)

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from netresil.lti import (AlgebraicLoopError, DimensionError, StateSpace,
                           blockdiag, default_grid, eval_frequency,
                           feedback_interconnect, is_controllable, is_hurwitz,
-                          is_observable, parallel, series, spectral_abscissa)
+                          is_observable, spectral_abscissa)
 from netresil.sampling import random_stable_statespace
 from netresil.simulate import simulate
+
+from lti_ops import parallel, series
 
 
 def lag():

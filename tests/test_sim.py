@@ -129,7 +129,7 @@ class TestReferenceSignal:
             ReferenceSignal(np.array([1.0]), np.array([[0.5]]))   # must start at 0
 
     def test_random_levels_shared(self, rng):
-        ref = ReferenceSignal.random_levels(rng, 10.0, 2.0, 3, shared=True)
+        ref = ReferenceSignal.random_levels(rng, 10.0, 2.0, 3)
         assert ref.levels.shape == (5, 3)
         assert np.all(ref.levels == ref.levels[:, :1])
 

@@ -161,7 +161,7 @@ class TestHinfLevelSet:
 
     def test_two_peaks_within_one_percent(self):
         # peaks at w = 1 and w = 7 whose heights differ by about 0.6%
-        from netresil.lti import parallel
+        from lti_ops import parallel
 
         zeta = 0.01
         g = parallel(self.resonance(zeta, 1.0, 1.0), self.resonance(zeta, 7.0, 49.0 * 1.006))
