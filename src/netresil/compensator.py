@@ -23,9 +23,9 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from .lti import StateSpace, default_grid, eval_frequency, is_hurwitz
+from .lti import StateSpace, default_grid, eval_frequency, frozen_array, is_hurwitz
 from .network import NetworkedSystem, interconnect
-from .synthesis import (HinfResult, SynthesisError, design_observer_gain,
+from .synthesis import (MAX_GAIN, HinfResult, SynthesisError, design_observer_gain,
                         design_theta, design_theta_gamma_scan, hinf_norm)
 
 
@@ -51,13 +51,10 @@ class Compensator:
         if self.observer_gain is not None:
             attrs += ("observer_gain",)
         for attr in attrs:
-            M = np.asarray(getattr(self, attr), dtype=float)
-            if M.ndim != 2:
-                raise ValueError(f"compensator {attr.rstrip('_')} must be a matrix, "
-                                 f"got shape {M.shape}")
-            if not np.all(np.isfinite(M)):
-                raise ValueError(f"compensator {attr.rstrip('_')} contains non-finite entries")
-            object.__setattr__(self, attr, M)
+            name, M = f"compensator {attr.rstrip('_')}", getattr(self, attr)
+            if np.ndim(M) != 2:
+                raise ValueError(f"{name} must be a matrix, got shape {np.shape(M)}")
+            object.__setattr__(self, attr, frozen_array(M, name))
         if self.cut not in ("1to2", "2to1"):
             raise ValueError(f"compensator cut must be '1to2' or '2to1', got {self.cut!r}")
         self._check_shapes(f"shapes disagree with eta={self.eta}")
@@ -98,19 +95,13 @@ class Compensator:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Compensator":
-        return cls(np.asarray(d["Lambda"], dtype=float), np.asarray(d["Gamma"], dtype=float),
-                   np.asarray(d["Xi"], dtype=float), np.asarray(d["Theta"], dtype=float),
-                   int(d["eta"]), d.get("cut", "1to2"))
+        return cls(d["Lambda"], d["Gamma"], d["Xi"], d["Theta"], int(d["eta"]),
+                   d.get("cut", "1to2"))
 
     def to_json(self, path) -> None:
         payload = self.to_dict()
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
-
-    @classmethod
-    def from_json(cls, path) -> "Compensator":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -257,7 +248,9 @@ def verify_triangular(sys: StateSpace, ref_diag: list[StateSpace],
                       grid: np.ndarray | None = None,
                       tol: float = 1e-7) -> TriangularReport:
     """Check block-triangularity of ``sys`` against decoupled diagonal
-    references on a frequency grid (both orderings are tested)."""
+    references on a frequency grid (both orderings are tested). Raises
+    :class:`SynthesisError` when a response on the grid exceeds
+    ``synthesis.MAX_GAIN`` or is not finite."""
     if len(ref_diag) != 2:
         raise ValueError("expected two diagonal reference systems")
     g1, g2 = ref_diag
@@ -274,6 +267,9 @@ def verify_triangular(sys: StateSpace, ref_diag: list[StateSpace],
     F22 = F[:, q1:, m1:]
     R1 = eval_frequency(g1, grid).values
     R2 = eval_frequency(g2, grid).values
+    if not all(np.abs(X).max(initial=0.0) <= MAX_GAIN for X in (F, R1, R2)):
+        raise SynthesisError(f"a frequency response exceeds {MAX_GAIN:g} on the grid: a pole "
+                             "lies on the imaginary axis to working precision")
 
     scale = float(np.linalg.norm(F.reshape(F.shape[0], -1), axis=1).max())
     scale = max(scale, 1e-300)

@@ -140,9 +140,9 @@ _COLORS = ("#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df",
 
 
 def svg_line_chart(path: str, t: np.ndarray, series: Sequence[np.ndarray],
-                   labels: Sequence[str] | None = None, title: str = "",
-                   width: int = 720, height: int = 340) -> None:
-    """Write one standalone SVG chart with a polyline per series."""
+                   labels: Sequence[str] | None = None, title: str = "") -> None:
+    """Write one standalone 720 x 340 SVG chart with a polyline per series."""
+    width, height = 720, 340
     ml, mr, mt, mb = 56, 16, 28, 36
     pw, ph = width - ml - mr, height - mt - mb
     t = np.asarray(t, dtype=float)
@@ -198,19 +198,20 @@ def svg_line_chart(path: str, t: np.ndarray, series: Sequence[np.ndarray],
         fh.write("\n".join(parts) + "\n")
 
 
-def plot_outputs(traj: Trajectory, outdir: str, prefix: str = "y",
+def plot_outputs(traj: Trajectory, outdir: str,
                  reference: np.ndarray | None = None) -> list[str]:
-    """One SVG per output channel; overlays the reference when given."""
+    """One SVG per output channel, ``y<i>.svg``; overlays the reference when
+    given."""
     os.makedirs(outdir, exist_ok=True)
     paths = []
     for i in range(traj.outputs.shape[1]):
         series = [traj.outputs[:, i]]
-        labels = [f"{prefix}{i+1}"]
+        labels = [f"y{i+1}"]
         if reference is not None:
             series.append(reference[:, i])
             labels.append("ref")
-        p = os.path.join(outdir, f"{prefix}{i+1}.svg")
-        svg_line_chart(p, traj.times, series, labels, title=f"output {prefix}{i+1}")
+        p = os.path.join(outdir, f"y{i+1}.svg")
+        svg_line_chart(p, traj.times, series, labels, title=f"output y{i+1}")
         paths.append(p)
     return paths
 

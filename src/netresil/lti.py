@@ -8,7 +8,9 @@ holding a continuous-time realization
 
 with plain float64 arrays. Pure-gain systems (n = 0) are first class.
 All operations return new objects; instances are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads. Every model type of the
+package holds its matrices the same way, through :func:`frozen_array`: a
+checked, read-only copy, so no later write by the caller reaches them.
 
 Frequency responses come from one eigendecomposition of A per grid: the
 modal resolvent (C V) diag(1 / (jw - lam)) (V^-1 B) + D, broadcast over
@@ -23,7 +25,6 @@ never regroups a product, so results match the plain formula bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -47,6 +48,23 @@ def _as_matrix(M) -> np.ndarray:
     return np.atleast_2d(np.asarray(M, dtype=float))
 
 
+def frozen_array(a, name: str, ndim: int = 2) -> np.ndarray:
+    """Read-only float64 copy of ``a`` with every entry finite.
+
+    The copy keeps ``a``'s memory order (matmul rounding depends on it),
+    and a scalar or shorter array gains leading axes up to ``ndim`` (a
+    vector becomes one row). Raises ValueError naming ``name`` when ``a``
+    has more than ``ndim`` axes or a non-finite entry.
+    """
+    M = np.array(a, dtype=float)
+    if M.ndim > ndim:
+        raise ValueError(f"{name} must have at most {ndim} axes, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    M.setflags(write=False)
+    return M if M.ndim == ndim else M.reshape((1,) * (ndim - M.ndim) + M.shape)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Immutable (A, B, C, D) realization with consistent dimensions."""
@@ -57,36 +75,28 @@ class StateSpace:
     D: np.ndarray | None = None
 
     def __post_init__(self):
-        A = _as_matrix(self.A)
+        A = frozen_array(self.A, "A")
         if A.size == 0:
             A = A.reshape(0, 0)
         if A.shape[0] != A.shape[1]:
             raise DimensionError(f"A must be square, got {A.shape}")
         n = A.shape[0]
-        B = _as_matrix(self.B)
+        B = frozen_array(self.B, "B")
         if B.size == 0:
-            B = B.reshape(n, B.shape[1] if B.ndim == 2 and n == 0 else 0)
+            B = B.reshape(n, B.shape[1] if n == 0 else 0)
         if B.shape[0] != n:
             raise DimensionError(f"B has {B.shape[0]} rows, expected {n}")
-        C = _as_matrix(self.C)
+        C = frozen_array(self.C, "C")
         if C.size == 0:
-            C = C.reshape(C.shape[0] if C.ndim == 2 and n == 0 else 0, n)
+            C = C.reshape(C.shape[0] if n == 0 else 0, n)
         if C.shape[1] != n:
             raise DimensionError(f"C has {C.shape[1]} cols, expected {n}")
         q, m = C.shape[0], B.shape[1]
-        D = self.D
-        if D is None:
-            D = np.zeros((q, m))
-        else:
-            D = _as_matrix(D)
-            if D.size == 0:
-                D = D.reshape(q, m)
+        D = frozen_array(np.zeros((q, m)) if self.D is None else self.D, "D")
+        if D.size == 0:
+            D = D.reshape(q, m)
         if D.shape != (q, m):
             raise DimensionError(f"D is {D.shape}, expected {(q, m)}")
-        for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
-            if M.size and not np.isfinite(M).all():
-                raise ValueError(f"{name} contains non-finite entries")
-            M.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
@@ -118,28 +128,6 @@ class StateSpace:
         M = s * np.eye(self.n) - self.A
         return self.C @ np.linalg.solve(M, self.B) + self.D
 
-    def to_dict(self) -> dict:
-        out = {"A": self.A.tolist(), "B": self.B.tolist(), "C": self.C.tolist()}
-        if np.any(self.D):
-            out["D"] = self.D.tolist()
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StateSpace":
-        return cls(np.array(d["A"], dtype=float).reshape(len(d["A"]), -1) if d["A"] else np.zeros((0, 0)),
-                   np.asarray(d["B"], dtype=float),
-                   np.asarray(d["C"], dtype=float),
-                   np.asarray(d["D"], dtype=float) if "D" in d else None)
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    @classmethod
-    def from_json(cls, path) -> "StateSpace":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class FrequencyResponse:
@@ -149,7 +137,8 @@ class FrequencyResponse:
     ``ill_conditioned[k]`` flags grid points where j omegas[k] lies within
     the Bauer-Fike radius 1e-12 max(1, ||A||_F) cond(V) of an eigenvalue of
     A (V the eigenvector matrix), i.e. points that may sit on a pole; their
-    values come from a direct solve (least squares where singular).
+    values come from a direct solve (least squares where singular) and are
+    inf or nan where the response overflows.
     """
 
     omegas: np.ndarray
@@ -175,9 +164,9 @@ class FrequencyResponse:
         object.__setattr__(self, "ill_conditioned", flags)
 
 
-def default_grid(lo: float = 1e-3, hi: float = 1e3, points: int = 400) -> np.ndarray:
-    """Logarithmic frequency grid with w = 0 prepended."""
-    return np.concatenate([[0.0], np.logspace(np.log10(lo), np.log10(hi), points)])
+def default_grid() -> np.ndarray:
+    """w = 0 and 400 logarithmically spaced points on [1e-3, 1e3]."""
+    return np.concatenate([[0.0], np.logspace(-3.0, 3.0, 400)])
 
 
 def blockdiag(*systems: StateSpace) -> StateSpace:
@@ -274,7 +263,8 @@ def eval_frequency(g: StateSpace, omegas) -> FrequencyResponse:
     G(jw) = (C V) diag(1 / (jw - lam)) (V^-1 B) + D, one broadcast over
     every point. A point is flagged when jw lies within the Bauer-Fike
     radius 1e-12 max(1, ||A||_F) cond(V) of an eigenvalue of A, and is
-    then solved directly (least squares where jwI - A is singular). Every
+    then solved directly (least squares where jwI - A is singular); its
+    value is inf or nan where the response overflows. Every
     point is solved directly when cond(V) is not finite or exceeds
     ``_MAX_EIGVEC_COND`` (defective or nearly defective A); the radius then
     uses that bound.
@@ -311,14 +301,16 @@ def eval_frequency(g: StateSpace, omegas) -> FrequencyResponse:
         vals = np.empty((k, g.q, g.m), dtype=complex)
         direct = range(k)
     eye = np.eye(g.n)
-    for i in direct:
-        M = s[i] * eye - g.A
-        try:
-            X = np.linalg.solve(M, g.B)
-        except np.linalg.LinAlgError:
-            X = np.linalg.lstsq(M, g.B.astype(complex), rcond=None)[0]
-            flags[i] = True
-        vals[i] = g.C @ X + g.D
+    # at a pole to working precision the response leaves the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in direct:
+            M = s[i] * eye - g.A
+            try:
+                X = np.linalg.solve(M, g.B)
+            except np.linalg.LinAlgError:
+                X = np.linalg.lstsq(M, g.B.astype(complex), rcond=None)[0]
+                flags[i] = True
+            vals[i] = g.C @ X + g.D
     return FrequencyResponse(omegas, vals, flags)
 
 

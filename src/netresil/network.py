@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .lti import DimensionError, StateSpace, is_controllable, is_observable
+from .lti import DimensionError, StateSpace, frozen_array, is_controllable, is_observable
 
 
 @dataclass(frozen=True)
@@ -32,36 +32,22 @@ class Subsystem:
     Dz: np.ndarray | None = None
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        for f in ("A", "B", "C", "J", "S"):
+            object.__setattr__(self, f, frozen_array(getattr(self, f), f"subsystem {f}"))
+        A, B, C, J, S = self.A, self.B, self.C, self.J, self.S
         n = A.shape[0]
         if A.shape != (n, n):
             raise DimensionError("A must be square")
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        J = np.atleast_2d(np.asarray(self.J, dtype=float))
-        S = np.atleast_2d(np.asarray(self.S, dtype=float))
         if B.shape[0] != n or J.shape[0] != n:
             raise DimensionError("B and J must have n rows")
         if C.shape[1] != n or S.shape[1] != n:
             raise DimensionError("C and S must have n columns")
-        Dz = self.Dz
-        if Dz is None:
-            Dz = np.zeros((C.shape[0], J.shape[1]))
-        else:
-            Dz = np.atleast_2d(np.asarray(Dz, dtype=float))
-            if Dz.size == 0:
-                Dz = Dz.reshape(C.shape[0], J.shape[1])
-        if Dz.shape != (C.shape[0], J.shape[1]):
+        shape = (C.shape[0], J.shape[1])
+        Dz = frozen_array(np.zeros(shape) if self.Dz is None else self.Dz, "subsystem Dz")
+        if Dz.size == 0:
+            Dz = Dz.reshape(shape)
+        if Dz.shape != shape:
             raise DimensionError("Dz must be q x p_peer (rows of C by cols of J)")
-        for M in (A, B, C, J, S, Dz):
-            if M.size and not np.all(np.isfinite(M)):
-                raise ValueError("subsystem matrices must be finite")
-            M.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "S", S)
         object.__setattr__(self, "Dz", Dz)
 
     @property
@@ -108,10 +94,7 @@ class Subsystem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Subsystem":
-        return cls(np.asarray(d["A"], dtype=float), np.asarray(d["B"], dtype=float),
-                   np.asarray(d["C"], dtype=float), np.asarray(d["J"], dtype=float),
-                   np.asarray(d["S"], dtype=float),
-                   np.asarray(d["Dz"], dtype=float) if "Dz" in d else None)
+        return cls(d["A"], d["B"], d["C"], d["J"], d["S"], d["Dz"] if "Dz" in d else None)
 
 
 @dataclass(frozen=True)
@@ -129,14 +112,9 @@ class NetworkedSystem:
         if s2.p_peer != s1.p:
             raise DimensionError(f"cols(J2)={s2.p_peer} must equal rows(S1)={s1.p}")
         n = s1.n + s2.n
-        R = self.R
-        if R is None:
-            R = np.eye(n)
-        else:
-            R = np.atleast_2d(np.asarray(R, dtype=float))
+        R = frozen_array(np.eye(n) if self.R is None else self.R, "R")
         if R.shape[0] != n:
             raise DimensionError(f"R must have {n} rows")
-        R.setflags(write=False)
         object.__setattr__(self, "R", R)
 
     @property
@@ -170,16 +148,11 @@ class NetworkedSystem:
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkedSystem":
         return cls(Subsystem.from_dict(d["sub1"]), Subsystem.from_dict(d["sub2"]),
-                   np.asarray(d["R"], dtype=float) if "R" in d else None)
+                   d["R"] if "R" in d else None)
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=1)
-
-    @classmethod
-    def from_json(cls, path) -> "NetworkedSystem":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def interconnect(ns: NetworkedSystem) -> StateSpace:
@@ -208,22 +181,20 @@ class CascadeVerdict(Enum):
         return self is not CascadeVerdict.NONE
 
 
-def _vanishes(X: np.ndarray, Y: np.ndarray, tol: float | None) -> bool:
-    prod = X @ Y
-    if tol is None:
-        tol = 1e-10 * (1.0 + np.linalg.norm(X) * np.linalg.norm(Y))
-    return float(np.linalg.norm(prod)) <= tol
+def _vanishes(X: np.ndarray, Y: np.ndarray) -> bool:
+    tol = 1e-10 * (1.0 + np.linalg.norm(X) * np.linalg.norm(Y))
+    return float(np.linalg.norm(X @ Y)) <= tol
 
 
-def is_cascade(ns: NetworkedSystem, tol: float | None = None) -> CascadeVerdict:
+def is_cascade(ns: NetworkedSystem) -> CascadeVerdict:
     """Structural cascade test on the coupling products J_i S_j, Dz_i S_j.
 
-    The default tolerance 1e-10 (1 + ||J|| ||S||) keeps exact structural
+    The tolerance 1e-10 (1 + ||J|| ||S||) keeps exact structural
     zeros through floating point while catching near-zeros from data entry.
     """
     s1, s2 = ns.sub1, ns.sub2
-    cut_2to1 = _vanishes(s1.J, s2.S, tol) and _vanishes(s1.Dz, s2.S, tol)
-    cut_1to2 = _vanishes(s2.J, s1.S, tol) and _vanishes(s2.Dz, s1.S, tol)
+    cut_2to1 = _vanishes(s1.J, s2.S) and _vanishes(s1.Dz, s2.S)
+    cut_1to2 = _vanishes(s2.J, s1.S) and _vanishes(s2.Dz, s1.S)
     if cut_2to1 and cut_1to2:
         return CascadeVerdict.BOTH
     if cut_2to1:

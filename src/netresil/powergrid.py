@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 import scipy.linalg as sla
 
-from .lti import StateSpace, spectral_abscissa
+from .lti import StateSpace, frozen_array, spectral_abscissa
 from .network import NetworkedSystem, Subsystem
 from .sampling import random_stable_statespace
 from .simulate import ReferenceSignal, closed_tracking_loop
@@ -102,12 +102,11 @@ class GridModel:
         gens = tuple(self.generators)
         if len(gens) != N_GEN:
             raise ValueError(f"expected {N_GEN} generators")
-        Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
+        Y = frozen_array(self.Y, "admittance Y")
         if Y.shape != (N_GEN, N_GEN):
             raise ValueError("Y must be 5x5")
         if np.abs(Y - Y.T).max() > 1e-9 * max(1.0, np.abs(Y).max()):
             raise ValueError("Y must be symmetric")
-        Y.setflags(write=False)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "Y", Y)
 
@@ -172,6 +171,10 @@ class TrackingController:
     Kx: np.ndarray
     Ke: np.ndarray
     L: np.ndarray
+
+    def __post_init__(self):
+        for f in ("A", "B", "C", "Kx", "Ke", "L"):
+            object.__setattr__(self, f, frozen_array(getattr(self, f), f"tracker {f}"))
 
     def realize(self, q_param: StateSpace | None = None) -> StateSpace:
         """Controller with inputs (y, y_d) and output u.

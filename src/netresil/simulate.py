@@ -21,7 +21,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .compensator import Compensator, compensated_plant
-from .lti import StateSpace, blockdiag, feedback_interconnect, spectral_abscissa
+from .lti import (StateSpace, blockdiag, feedback_interconnect, frozen_array,
+                  spectral_abscissa)
 from .network import NetworkedSystem
 
 DIVERGENCE_LIMIT = 1e9
@@ -82,14 +83,12 @@ class ReferenceSignal:
     levels: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        lv = np.atleast_2d(np.asarray(self.levels, dtype=float))
-        if t.ndim != 1 or t.size != lv.shape[0]:
+        t = frozen_array(self.times, "reference times", ndim=1)
+        lv = frozen_array(self.levels, "reference levels")
+        if t.size != lv.shape[0]:
             raise ValueError("one level row per change time required")
         if t.size == 0 or t[0] != 0.0 or (t.size > 1 and not np.all(np.diff(t) > 0)):
             raise ValueError("change times must start at 0 and increase")
-        t.setflags(write=False)
-        lv.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "levels", lv)
 
@@ -97,13 +96,9 @@ class ReferenceSignal:
     def width(self) -> int:
         return self.levels.shape[1]
 
-    def sample(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.times, t, side="right") - 1)
-        return self.levels[max(idx, 0)]
-
     @classmethod
     def constant(cls, level) -> "ReferenceSignal":
-        return cls(np.array([0.0]), np.atleast_2d(np.asarray(level, dtype=float)))
+        return cls([0.0], level)
 
     @classmethod
     def random_levels(cls, rng: np.random.Generator, horizon: float, dwell: float,
@@ -148,7 +143,7 @@ class Scenario:
             raise ValueError("horizon must reach the last segment")
         check_run(self.horizon, self.h, self.store_every)
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        object.__setattr__(self, "x0", frozen_array(self.x0, "scenario x0", ndim=1))
 
 
 def check_run(T: float, h: float, store_every: int) -> None:

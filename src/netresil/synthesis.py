@@ -18,6 +18,11 @@ from .lti import StateSpace, default_grid, eval_frequency, is_hurwitz
 
 _RESIDUAL_TOL = 1e-8
 
+MAX_GAIN = 1e150
+"""Largest frequency-response gain the H-infinity norm and the triangularity
+check work with, so that its square fits a float. A larger gain on the
+frequency grid means a pole on the imaginary axis to working precision."""
+
 
 class SynthesisError(RuntimeError):
     """Riccati / gain design failed (no stabilizing solution)."""
@@ -98,24 +103,21 @@ def solve_care(A, B, Q, R_w) -> RiccatiSolution:
     return RiccatiSolution(P=P, K=K, residual_norm=res)
 
 
-def design_theta(A, R_mat, q_weight=None, r_weight=None) -> np.ndarray:
-    """Gain Theta such that A + R_mat Theta is Hurwitz (LQR with unit weights
-    by default). Requires (A, R_mat) controllable/stabilizable."""
+def design_theta(A, R_mat, rho: float = 1.0) -> np.ndarray:
+    """Gain Theta such that A + R_mat Theta is Hurwitz: LQR with state weight
+    I and input weight rho I. Requires (A, R_mat) controllable/stabilizable."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     R_mat = np.atleast_2d(np.asarray(R_mat, dtype=float))
     n, p = A.shape[0], R_mat.shape[1]
-    Qw = np.eye(n) if q_weight is None else np.atleast_2d(np.asarray(q_weight, dtype=float))
-    Rw = np.eye(p) if r_weight is None else np.atleast_2d(np.asarray(r_weight, dtype=float))
-    sol = solve_care(A, R_mat, Qw, Rw)
+    sol = solve_care(A, R_mat, np.eye(n), rho * np.eye(p))
     return -sol.K
 
 
-def design_observer_gain(A, S, q_weight=None, r_weight=None) -> np.ndarray:
+def design_observer_gain(A, S) -> np.ndarray:
     """Gain H such that A - H S is Hurwitz, by duality with design_theta."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     S = np.atleast_2d(np.asarray(S, dtype=float))
-    theta = design_theta(A.T, S.T, q_weight=q_weight, r_weight=r_weight)
-    return -theta.T
+    return -design_theta(A.T, S.T).T
 
 
 def design_theta_gamma_scan(A, R_mat, Gamma, rhos=(1e-2, 1e-1, 1.0, 1e1, 1e2),
@@ -129,13 +131,13 @@ def design_theta_gamma_scan(A, R_mat, Gamma, rhos=(1e-2, 1e-1, 1.0, 1e1, 1e2),
     A = np.atleast_2d(np.asarray(A, dtype=float))
     R_mat = np.atleast_2d(np.asarray(R_mat, dtype=float))
     Gamma = np.atleast_2d(np.asarray(Gamma, dtype=float))
-    n, p = A.shape[0], R_mat.shape[1]
+    n = A.shape[0]
     if not np.any(Gamma):
         return design_theta(A, R_mat), 0.0
     best = None
     for rho in rhos:
         try:
-            theta = design_theta(A, R_mat, np.eye(n), rho * np.eye(p))
+            theta = design_theta(A, R_mat, rho)
         except SynthesisError:
             continue
         g = hinf_norm(StateSpace(A + R_mat @ theta, Gamma, np.eye(n), None), tol=tol)
@@ -182,8 +184,9 @@ def hinf_norm(g: StateSpace, tol: float = 1e-4, max_iter: int = 100) -> HinfResu
     iteration stops at the first gamma without crossings, so the returned
     midpoint of [lb, gamma] is at least the grid maximum and within ``tol``
     of the norm. ``converged`` is False when ``max_iter`` iterations ran out
-    first. ``peak_omega`` is the best maximizer frequency found. Raises on
-    unstable systems.
+    first. ``peak_omega`` is the best maximizer frequency found. Raises
+    :class:`SynthesisError` on unstable systems and when the norm exceeds
+    ``MAX_GAIN`` (or the grid holds a non-finite response).
     """
     if g.n == 0 or not np.any(g.B) or not np.any(g.C):
         d_norm = _sigma_max(g.D)
@@ -211,6 +214,9 @@ def hinf_norm(g: StateSpace, tol: float = 1e-4, max_iter: int = 100) -> HinfResu
     converged = False
     while iterations < max_iter:
         gamma = (1.0 + 2.0 * tol) * lb
+        if not gamma <= MAX_GAIN:           # also a nan from a pole on the grid
+            raise SynthesisError(f"H-infinity norm above {MAX_GAIN:g}: a pole lies on the "
+                                 "imaginary axis to working precision")
         freqs = _imag_axis_crossings(g, gamma)
         iterations += 1
         if not freqs.size:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import (StateSpace, eval_frequency, feedback_interconnect, is_hurwitz,
-                  spectral_abscissa)
+from .lti import (StateSpace, eval_frequency, feedback_interconnect, frozen_array,
+                  is_hurwitz, spectral_abscissa)
 from .network import NetworkedSystem, Subsystem, close_local_controllers, interconnect, is_cascade
 from .synthesis import design_observer_gain, design_theta
 
@@ -47,8 +47,8 @@ class YoulaController:
     Q: StateSpace
 
     def __post_init__(self):
-        object.__setattr__(self, "F", np.atleast_2d(np.asarray(self.F, dtype=float)))
-        object.__setattr__(self, "H", np.atleast_2d(np.asarray(self.H, dtype=float)))
+        object.__setattr__(self, "F", frozen_array(self.F, "F"))
+        object.__setattr__(self, "H", frozen_array(self.H, "H"))
 
     def validate(self, sub: Subsystem) -> None:
         ok_f, a_f = is_hurwitz(sub.A + sub.B @ self.F, margin=0.0)
@@ -112,6 +112,10 @@ class GeneralizedPlant:
     sub: Subsystem
     F: np.ndarray
     H: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "F", frozen_array(self.F, "F"))
+        object.__setattr__(self, "H", frozen_array(self.H, "H"))
 
     def sigma_dz(self) -> StateSpace:
         """Coupling-to-interaction map of the nominally controlled node (Q = 0)."""
@@ -206,20 +210,17 @@ class DestabilizerResult:
                 "global_abscissa": self.global_abscissa}
 
 
-def destabilizer_search(ns: NetworkedSystem,
-                        gains1: tuple[np.ndarray, np.ndarray] | None = None,
-                        gains2: tuple[np.ndarray, np.ndarray] | None = None,
-                        omega_grid: np.ndarray | None = None,
-                        ladder: int = 20) -> DestabilizerResult:
+def destabilizer_search(ns: NetworkedSystem) -> DestabilizerResult:
     """Search for a locally stabilizing controller on node 2 that
-    destabilizes the interconnection (node 1 keeps its nominal controller).
+    destabilizes the interconnection (node 1 keeps its nominal controller,
+    both nodes the gains of :func:`design_nominal_gains`).
 
-    Scans a log frequency grid; at each usable probe frequency solves the
-    affine map for the free-parameter value closing the loop gain to one,
-    fits the all-pass family, and walks a +/-1% gain ladder until the
-    eigenvalue certificate (local abscissa < -1e-6, overall > 1e-6)
-    accepts. Deterministic: lowest frequency first, then smallest ladder
-    index, + before -.
+    Scans 200 log-spaced probe frequencies on [1e-2, 1e2]; at each usable
+    one solves the affine map for the free-parameter value closing the loop
+    gain to one, fits the all-pass family, and walks a +/-1% gain ladder of
+    20 steps each way until the eigenvalue certificate (local abscissa
+    < -1e-6, overall > 1e-6) accepts. Deterministic: lowest frequency
+    first, then smallest ladder index, + before -.
     """
     if not (ns.sub1.siso and ns.sub2.siso):
         raise ValueError("destabilizer_search requires scalar channels")
@@ -227,17 +228,15 @@ def destabilizer_search(ns: NetworkedSystem,
         return DestabilizerResult(found=False,
                                   reason="cascade coupling: the loop gain is "
                                          "identically zero, no probe frequency applies")
-    F1, H1 = gains1 if gains1 is not None else design_nominal_gains(ns.sub1)
-    F2, H2 = gains2 if gains2 is not None else design_nominal_gains(ns.sub2)
+    F1, H1 = design_nominal_gains(ns.sub1)
+    F2, H2 = design_nominal_gains(ns.sub2)
     gp1 = GeneralizedPlant(ns.sub1, F1, H1)
     gp2 = GeneralizedPlant(ns.sub2, F2, H2)
     kappa1 = realize_controller(ns.sub1, YoulaController(F1, H1, zero_parameter(ns.sub1)))
     plant = interconnect(ns)
     open2 = ns.sub2.decoupled()
 
-    if omega_grid is None:
-        omega_grid = np.logspace(-2, 2, 200)
-    om = np.asarray(omega_grid, dtype=float)
+    om = np.logspace(-2, 2, 200)
     d1 = eval_frequency(gp1.sigma_dz(), om).values[:, 0, 0]
     d20 = eval_frequency(gp2.sigma_dz(), om).values[:, 0, 0]
     uz2 = eval_frequency(gp2.sigma_uz(), om).values[:, 0, 0]
@@ -255,7 +254,7 @@ def destabilizer_search(ns: NetworkedSystem,
         ap = allpass_fit(om[i], qbar)
         if ap.a <= 1e-6:
             continue
-        for j in range(ladder + 1):
+        for j in range(21):             # ladder steps 0..20
             for sign in (1.0, -1.0):
                 if j == 0 and sign < 0:
                     continue

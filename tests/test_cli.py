@@ -1,17 +1,22 @@
 import errno
 import json
+import math
 import os
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from netresil import export
-from netresil.cli import main
+from netresil.cli import MAX_ENTRY, main
+from netresil.compensator import synthesize_compensator
 from netresil.export import svg_line_chart, trajectory_csv
 from netresil.lti import StateSpace
 from netresil.sampling import (random_cascade_system, random_networked_system)
 from netresil.simulate import Trajectory, simulate
+
+from test_cli_contract import EXIT_CODES
 
 
 @pytest.fixture
@@ -307,6 +312,35 @@ class TestInputBoundary:
         line = self._one_error_line(capsys)
         assert "step guard lowers --h 0.001 to h=" in line
         assert "stored samples exceeds the limit" in line
+
+    @pytest.mark.parametrize("value", [MAX_ENTRY, math.nextafter(MAX_ENTRY, math.inf)],
+                             ids=["at_bound", "past_bound"])
+    @pytest.mark.parametrize("command, part", [
+        *[(c, "network") for c in ("check", "compensate", "attack-search", "norms", "simulate")],
+        ("simulate", "compensator")])
+    def test_entry_magnitude_bound(self, tmp_path, capsys, command, part, value):
+        """One entry of MAX_ENTRY ends in a documented exit code with no
+        RuntimeWarning; the next float past it is refused at load."""
+        ns = random_networked_system(np.random.default_rng(4), 3, 3)
+        docs = {"network": ns.to_dict(), "compensator": synthesize_compensator(ns).to_dict()}
+        entries = docs["network"]["sub2"]["J"] if part == "network" else docs[part]["Lambda"]
+        entries[0][0] = value
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv = [command, str(tmp_path / "network.json"), "--out", str(tmp_path / "out")]
+        if command == "simulate":
+            argv += ["--compensator", str(tmp_path / "compensator.json"), "--T", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if value > MAX_ENTRY:
+            assert code == 1
+            assert "exceeds 1e+50 in magnitude" in self._one_error_line(capsys)
+        else:
+            assert code in EXIT_CODES[command]
+            if code == 1:
+                self._one_error_line(capsys)
 
 
 class TestGridDemo:

@@ -5,7 +5,10 @@ random; each run may garble one of them: a flag gets arbitrary text, or a
 part of a document becomes arbitrary JSON, a non-finite or huge matrix or
 a matrix of the wrong shape. Every run must end in an exit code its
 command documents, exit code 1 must come with exactly one ``error:``
-line, and no run may end in a traceback.
+line, and no run may end in a traceback. The pytest configuration turns
+a ``RuntimeWarning`` (a numpy overflow, say) into a failure, and the
+extreme entries include ``cli.MAX_ENTRY``, the largest magnitude a file
+may hold, and the next float past it.
 
 Runs stay short: usable matrix entries lie in [-3, 3], and a ``--T`` or
 ``--h`` text that parses to a finite number keeps T <= 2 and h >= 1e-3 (or
@@ -22,7 +25,7 @@ import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from netresil.cli import main
+from netresil.cli import MAX_ENTRY, main
 
 EXIT_CODES = {"check": {0, 1, 2, 3}, "compensate": {0, 1, 4, 5},
               "attack-search": {0, 1, 3}, "simulate": {0, 1, 4}, "norms": {0, 1, 5}}
@@ -35,7 +38,8 @@ json_values = st.recursive(
                    | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
     max_leaves=6)
 small = st.floats(-3, 3)
-extreme = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e200, 5e-324, 10**400])
+extreme = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e200, 5e-324, 10**400,
+                           MAX_ENTRY, -math.nextafter(MAX_ENTRY, math.inf)])
 flag_text = st.text(max_size=8) | st.integers().map(str) | st.floats().map(repr)
 
 

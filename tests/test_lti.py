@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -43,21 +41,6 @@ class TestStateSpace:
         g = lag()
         with pytest.raises(ValueError):
             g.A[0, 0] = 5.0
-
-    def test_json_roundtrip(self, tmp_path):
-        g = StateSpace([[0, 1], [-2, -3]], [[0], [1]], [[1, 0]], [[0.5]])
-        path = tmp_path / "g.json"
-        g.to_json(path)
-        g2 = StateSpace.from_json(path)
-        for name in "ABCD":
-            assert np.array_equal(getattr(g, name), getattr(g2, name))
-
-    def test_json_omitted_d_is_zero(self, tmp_path):
-        g = lag()
-        path = tmp_path / "g.json"
-        g.to_json(path)
-        assert "D" not in json.loads(path.read_text())
-        assert np.array_equal(StateSpace.from_json(path).D, [[0.0]])
 
 
 class TestSeries:

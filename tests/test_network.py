@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -74,7 +76,7 @@ class TestCascade:
     def test_json_roundtrip(self, tmp_path, dense_siso):
         path = tmp_path / "ns.json"
         dense_siso.to_json(path)
-        ns2 = NetworkedSystem.from_json(path)
+        ns2 = NetworkedSystem.from_dict(json.loads(path.read_text()))
         assert np.array_equal(interconnect(dense_siso).A, interconnect(ns2).A)
         assert np.array_equal(dense_siso.R, ns2.R)
 
