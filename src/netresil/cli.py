@@ -19,14 +19,16 @@ magnitude included), an invalid flag value or any other synthesis
 failure. Every error is one ``error: ...`` line on stderr.
 Numeric flags are checked when parsed; a run that would store more than
 ``simulate.MAX_STORED_SAMPLES`` samples, an unusable output path and a
-failed write also exit 1. ``simulate`` lowers ``--h`` to half the largest
-step the step guard admits for the plant, and names that step when the run
-it gives is refused.
+failed write also exit 1. ``--h`` and ``--store-every`` fix the stored
+sample times, and ``simulate.guarded_step`` picks the RK4 step. Only
+``simulate`` and ``grid-demo`` take ``--seed``; only ``compensate`` and
+``norms`` take ``--tol``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -43,8 +45,7 @@ from .export import plot_commands, plot_outputs, trajectory_csv
 from .lti import spectral_abscissa
 from .network import NetworkedSystem, interconnect, is_cascade, is_weakly_resilient
 from .powergrid import design_tracking_controllers, find_destabilizing_attack, grid_network
-from .simulate import (Scenario, StepSizeError, Trajectory, check_run, max_step,
-                       run_scenario, simulate)
+from .simulate import Scenario, check_run, run_scenario, simulate
 from .synthesis import SynthesisError, hinf_norm
 from .youla import destabilizer_search
 
@@ -114,6 +115,11 @@ def cmd_check(args) -> int:
     return {"resilient": 0, "not_resilient": 2, "unknown": 3}[report.verdict]
 
 
+def _tol(args) -> dict:
+    """``tol=--tol`` when the flag is given; else the callee's default."""
+    return {} if args.tol is None else {"tol": args.tol}
+
+
 def cmd_compensate(args) -> int:
     ns = _load_network(args.system)
     out = _ensure_out(args)
@@ -121,15 +127,14 @@ def cmd_compensate(args) -> int:
     comp.to_json(os.path.join(out, "compensator.json"))
     print(f"wrote {os.path.join(out, 'compensator.json')} (cut={comp.cut})")
     sysc = attach_compensator(ns, comp)
-    tol = args.tol if args.tol is not None else 1e-7
-    rep = verify_triangular(sysc, [ns.sub1.decoupled(), ns.sub2.decoupled()], tol=tol)
+    rep = verify_triangular(sysc, [ns.sub1.decoupled(), ns.sub2.decoupled()], **_tol(args))
     pb = performance_bound(comp, ns)
     print(f"triangular: {rep.passed} (ordering={rep.ordering}, "
           f"offdiag={min(rep.offdiag_residual.values()):.2e}, diag={rep.diag_residual:.2e})")
     print(f"performance bound: gamma={pb.gamma:.6g}, factor={pb.factor:.6g}")
     _dump({"cut": comp.cut, "triangular_passed": rep.passed,
            "ordering": rep.ordering, "offdiag_residual": rep.offdiag_residual,
-           "diag_residual": rep.diag_residual, "tol": tol,
+           "diag_residual": rep.diag_residual, "tol": rep.tol,
            "gamma": pb.gamma, "factor": pb.factor},
           os.path.join(out, "compensate_report.json"))
     return 0 if rep.passed else 5
@@ -157,19 +162,10 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     x0 = np.zeros(plant.n)
     x0[xs] = rng.standard_normal(ns.n)
-    h = min(args.h, 0.5 * max_step(plant.A))
-    if h < args.h:
-        try:
-            check_run(args.T, h, args.store_every)
-        except ValueError as exc:
-            raise ValueError(f"the step guard lowers --h {args.h:g} to h={h:.3g} "
-                             f"for this plant: {exc}") from exc
-    traj = simulate(plant, x0, None, T=args.T, h=h, store_every=args.store_every)
+    traj = simulate(plant, x0, None, T=args.T, h=args.h, store_every=args.store_every)
     # split the compensator block out for the CSV layout
-    traj = Trajectory(times=traj.times, states=traj.states[:, xs],
-                      comp_states=traj.states[:, phi], outputs=traj.outputs,
-                      inputs=traj.inputs, h=traj.h, diverged=traj.diverged,
-                      commands=traj.inputs)
+    traj = dataclasses.replace(traj, states=traj.states[:, xs],
+                               comp_states=traj.states[:, phi], commands=traj.inputs)
     csv_path = os.path.join(out, "trajectory.csv")
     trajectory_csv(traj, csv_path)
     print(f"wrote {csv_path} ({traj.times.size} samples, diverged={traj.diverged})")
@@ -185,7 +181,7 @@ def cmd_norms(args) -> int:
     payload = {"spectral_abscissa": spectral_abscissa(plant.A)}
     # written first, so an unstable network (exit 5) still reports its abscissa
     _dump(payload, path)
-    res = hinf_norm(plant, tol=args.tol if args.tol is not None else 1e-4)
+    res = hinf_norm(plant, **_tol(args))
     # a peak at infinite frequency (feedthrough-dominated) has no JSON number
     peak = res.peak_omega if np.isfinite(res.peak_omega) else None
     payload.update({"hinf_norm": res.norm, "peak_omega": peak,
@@ -250,21 +246,10 @@ def cmd_grid_demo(args) -> int:
                                  "local_abscissae": list(attack.local_abscissae),
                                  "open_loop_global_abscissa": attack.global_abscissa}
 
-    h, stride = args.h, args.store_every
-    for _ in range(6):
-        scenario = Scenario(segments=tuple(segments), horizon=horizon,
-                            x0=np.zeros(ns.n), h=h, reference=reference,
-                            store_every=stride)
-        try:
-            traj, reports = run_scenario(ns, comp, scenario, controllers)
-            break
-        except StepSizeError:
-            # tighten the step to meet the stability-resolving guard
-            h, stride = h / 2, stride * 2
-            print(f"step guard: retrying with h={h:g}", file=sys.stderr)
-    else:
-        raise StepSizeError("step guard not satisfiable within six halvings")
-    summary["h"] = h
+    scenario = Scenario(segments=tuple(segments), horizon=horizon, x0=np.zeros(ns.n),
+                        h=args.h, reference=reference, store_every=args.store_every)
+    traj, reports = run_scenario(ns, comp, scenario, controllers)
+    summary["h"] = traj.step
 
     csv_path = os.path.join(out, "trajectory.csv")
     trajectory_csv(traj, csv_path)
@@ -318,11 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+    def common(sp, seed=False, tol=False):
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--tol", type=_number("positive", "tolerance"), default=None,
-                        help="tolerance override (command specific)")
+        if tol:
+            sp.add_argument("--tol", type=_number("positive", "tolerance"), default=None,
+                            help="tolerance override (command specific)")
 
     sp = sub.add_parser("check", help="cascade / resilience verdict")
     sp.add_argument("system", help="network JSON")
@@ -335,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("system")
     sp.add_argument("--theta-policy", choices=("gamma_scan", "lqr"),
                     default="gamma_scan")
-    common(sp)
+    common(sp, tol=True)
     sp.set_defaults(fn=cmd_compensate)
 
     sp = sub.add_parser("attack-search", help="constructive destabilizer search")
@@ -350,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=_number("positive", "step"), default=1e-3)
     sp.add_argument("--store-every", type=_number("positive", "store_every", int),
                     default=10)
-    common(sp)
+    common(sp, seed=True)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("grid-demo", help="five-generator experiment")
@@ -368,12 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
                     default=100)
     sp.add_argument("--theta-policy", choices=("gamma_scan", "lqr"),
                     default="gamma_scan")
-    common(sp)
+    common(sp, seed=True)
     sp.set_defaults(fn=cmd_grid_demo)
 
     sp = sub.add_parser("norms", help="H-infinity norm of the network")
     sp.add_argument("system")
-    common(sp)
+    common(sp, tol=True)
     sp.set_defaults(fn=cmd_norms)
     return p
 

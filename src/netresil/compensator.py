@@ -31,7 +31,7 @@ from .synthesis import (MAX_GAIN, HinfResult, SynthesisError, design_observer_ga
 
 @dataclass(frozen=True)
 class Compensator:
-    """Supervisory compensator matrices; eta is the state dimension.
+    """Supervisory compensator matrices; the order eta is Lambda's.
 
     ``observer_gain`` (eta x p_total), when given, feeds the compensator
     from an observer of the interaction output instead of z itself (see
@@ -42,7 +42,6 @@ class Compensator:
     Gamma: np.ndarray
     Xi: np.ndarray
     Theta: np.ndarray
-    eta: int
     cut: str = "1to2"
     observer_gain: np.ndarray | None = None
 
@@ -58,6 +57,11 @@ class Compensator:
         if self.cut not in ("1to2", "2to1"):
             raise ValueError(f"compensator cut must be '1to2' or '2to1', got {self.cut!r}")
         self._check_shapes(f"shapes disagree with eta={self.eta}")
+
+    @property
+    def eta(self) -> int:
+        """Compensator order, the state dimension of Lambda."""
+        return self.Lambda_.shape[0]
 
     def _check_shapes(self, what: str, p: int | None = None, q: int | None = None,
                       r: int | None = None) -> None:
@@ -95,8 +99,12 @@ class Compensator:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Compensator":
-        return cls(d["Lambda"], d["Gamma"], d["Xi"], d["Theta"], int(d["eta"]),
-                   d.get("cut", "1to2"))
+        """Inverse of ``to_dict``; ``"eta"`` must be the order of Lambda."""
+        comp = cls(d["Lambda"], d["Gamma"], d["Xi"], d["Theta"], d.get("cut", "1to2"))
+        eta = d["eta"]
+        if isinstance(eta, bool) or eta != comp.eta:
+            raise ValueError(f"compensator eta {eta!r} is not the order {comp.eta} of Lambda")
+        return comp
 
     def to_json(self, path) -> None:
         payload = self.to_dict()
@@ -178,8 +186,7 @@ def synthesize_compensator(ns: NetworkedSystem, theta_policy: str = "gamma_scan"
     stable, absc = is_hurwitz(A + R @ Theta)
     if not stable:
         raise SynthesisError(f"A + R Theta not Hurwitz (abscissa {absc:.3e})")
-    return Compensator(Lambda_=Lambda_, Gamma=Gamma, Xi=Xi, Theta=Theta,
-                       eta=ns.n, cut=cut)
+    return Compensator(Lambda_=Lambda_, Gamma=Gamma, Xi=Xi, Theta=Theta, cut=cut)
 
 
 def attach_compensator(ns: NetworkedSystem, comp: Compensator) -> StateSpace:
@@ -245,11 +252,10 @@ class TriangularReport:
 
 
 def verify_triangular(sys: StateSpace, ref_diag: list[StateSpace],
-                      grid: np.ndarray | None = None,
                       tol: float = 1e-7) -> TriangularReport:
     """Check block-triangularity of ``sys`` against decoupled diagonal
-    references on a frequency grid (both orderings are tested). Raises
-    :class:`SynthesisError` when a response on the grid exceeds
+    references on the default frequency grid (both orderings are tested).
+    Raises :class:`SynthesisError` when a response on the grid exceeds
     ``synthesis.MAX_GAIN`` or is not finite."""
     if len(ref_diag) != 2:
         raise ValueError("expected two diagonal reference systems")
@@ -258,8 +264,7 @@ def verify_triangular(sys: StateSpace, ref_diag: list[StateSpace],
     q2, m2 = g2.q, g2.m
     if sys.q != q1 + q2 or sys.m != m1 + m2:
         raise ValueError("system channel dimensions do not match references")
-    if grid is None:
-        grid = default_grid()
+    grid = default_grid()
     F = eval_frequency(sys, grid).values
     F11 = F[:, :q1, :m1]
     F12 = F[:, :q1, m1:]
@@ -294,8 +299,7 @@ def verify_triangular(sys: StateSpace, ref_diag: list[StateSpace],
                             scale=scale, tol=tol)
 
 
-def performance_bound(comp: Compensator, ns: NetworkedSystem,
-                      tol: float = 1e-4) -> PerformanceBound:
+def performance_bound(comp: Compensator, ns: NetworkedSystem) -> PerformanceBound:
     """gamma = || (sI - (A + R Theta))^-1 Gamma ||_Hinf and the resulting
     L2 amplification factor 1 + gamma."""
     sigma = interconnect(ns)
@@ -305,7 +309,7 @@ def performance_bound(comp: Compensator, ns: NetworkedSystem,
         raise SynthesisError(f"A + R Theta not Hurwitz (abscissa {absc:.3e})")
     if not np.any(comp.Gamma):
         return PerformanceBound(gamma=0.0, factor=1.0, peak_omega=0.0)
-    res: HinfResult = hinf_norm(StateSpace(Acl, comp.Gamma, np.eye(ns.n), None), tol=tol)
+    res: HinfResult = hinf_norm(StateSpace(Acl, comp.Gamma, np.eye(ns.n), None))
     return PerformanceBound(gamma=res.norm, factor=1.0 + res.norm,
                             peak_omega=res.peak_omega)
 

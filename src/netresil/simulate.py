@@ -1,10 +1,10 @@
 """Deterministic fixed-step simulation and attack/recovery scenarios.
 
 Classical fourth-order Runge-Kutta with a hard step-size guard
-(h |lambda|_max <= 0.1). For piecewise-constant inputs the four stages
-collapse to the affine step map x+ = Phi x + Psi u, which is exactly the
-classical scheme. Its s-fold composition is read off one block-matrix
-power, [[Phi, Psi], [0, I]]^s = [[Phi^s, (sum_{j<s} Phi^j) Psi], [0, I]],
+(h |lambda|_max <= 0.1), met by halving the step (:func:`guarded_step`).
+For piecewise-constant inputs the four stages collapse to the affine step
+map x+ = Phi x + Psi u, which is exactly the classical scheme. Its s-fold
+composition is read off one block-matrix power, [[Phi, Psi], [0, I]]^s = [[Phi^s, (sum_{j<s} Phi^j) Psi], [0, I]],
 so a run jumps from stored sample to stored sample and never forms the
 steps in between; a stride splits wherever the input changes level inside
 it, and a stride of one step is the step map itself. Divergence is checked
@@ -32,8 +32,13 @@ MAX_STORED_SAMPLES = 1_000_000
 hold; a longer run is refused before anything is allocated."""
 
 
+MAX_HALVINGS = 8
+"""Most halvings of a requested step: at h = 1e-3 (both commands' default
+--h) the guard then admits |lambda|_max up to 25,600."""
+
+
 class StepSizeError(ValueError):
-    """h violates the stability-resolving bound h |lambda|_max <= 0.1."""
+    """h fails the bound h |lambda|_max <= 0.1 after MAX_HALVINGS halvings."""
 
 
 class DivergenceError(RuntimeError):
@@ -48,8 +53,9 @@ class Trajectory:
     compensator state phi (zero columns when none is attached),
     ``outputs``/``inputs`` the measured outputs and the exogenous inputs
     driving the run (controller commands for scenario runs are in
-    ``commands``). ``h`` is the stored sample step; ``diverged`` marks a
-    truncated run whose state left the finite range.
+    ``commands``). ``h`` is the stored sample step and ``step`` the RK4
+    step the run took (None on a record no run produced); ``diverged``
+    marks a truncated run whose state left the finite range.
     """
 
     times: np.ndarray
@@ -60,6 +66,7 @@ class Trajectory:
     h: float
     diverged: bool = False
     commands: np.ndarray | None = None
+    step: float | None = None
 
     def __post_init__(self):
         k = self.times.size
@@ -174,18 +181,25 @@ def _rk4_step_maps(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, 
     return Phi, Psi
 
 
-def check_step(A: np.ndarray, h: float) -> float:
-    """Enforce h |lambda|_max <= 0.1; returns |lambda|_max."""
-    lam = float(np.abs(np.linalg.eigvals(A)).max()) if A.size else 0.0
-    if h * lam > 0.1 + 1e-12:
-        raise StepSizeError(f"h={h:g} too large: h*|lambda|_max = {h * lam:.3f} > 0.1")
-    return lam
+def guarded_step(h: float, store_every: int, matrices: Sequence[np.ndarray]
+                 ) -> tuple[float, int]:
+    """(step, stride) for a run asking for step h and storing every
+    ``store_every``-th step: h halved, and the stride doubled, until
+    h |lambda|_max <= 0.1 holds for every system matrix of the run.
 
-
-def max_step(A: np.ndarray) -> float:
-    """Largest step admitted by the guard for this system matrix."""
-    lam = float(np.abs(np.linalg.eigvals(A)).max()) if A.size else 0.0
-    return 0.1 / lam if lam > 0 else np.inf
+    Halving is exact, so the stored sample times are the ones asked for.
+    Past MAX_HALVINGS halvings, StepSizeError names the step the guard needs.
+    """
+    lam = max((float(np.abs(np.linalg.eigvals(A)).max()) for A in matrices if A.size),
+              default=0.0)
+    step, stride = h, store_every
+    for _ in range(MAX_HALVINGS + 1):
+        if step * lam <= 0.1 + 1e-12:
+            return step, stride
+        step, stride = step / 2, stride * 2
+    raise StepSizeError(f"step h={h:g} is too large for |lambda|_max = {lam:.3g}: "
+                        f"the guard h*|lambda|_max <= 0.1 needs h <= {0.1 / lam:.3g}, "
+                        f"more than {MAX_HALVINGS} halvings of h")
 
 
 def _diverged(x: np.ndarray) -> bool:
@@ -250,7 +264,7 @@ def _affine_steps(Phi: np.ndarray, Psi: np.ndarray, x: np.ndarray, k0: int, k1: 
 
 def simulate(system: StateSpace, x0, inputs=None, T: float = 1.0, h: float = 1e-3,
              store_every: int = 1) -> Trajectory:
-    """Integrate x' = A x + B u from x0 over [0, T].
+    """Integrate x' = A x + B u from x0 over [0, T] with :func:`guarded_step`.
 
     ``inputs`` is None (zero input) or a constant vector u. Divergence
     (non-finite state or a state entry above 1e9 in magnitude) truncates
@@ -262,17 +276,17 @@ def simulate(system: StateSpace, x0, inputs=None, T: float = 1.0, h: float = 1e-
         raise ValueError(f"x0 has {x0.size} entries, expected {system.n}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    check_step(system.A, h)
+    step, stride = guarded_step(h, store_every, [system.A])
     u = np.zeros(system.m) if inputs is None else np.asarray(inputs, dtype=float).reshape(-1)
     if u.size != system.m:
         raise ValueError("constant input width mismatch")
-    Phi, Psi = _rk4_step_maps(system.A, system.B, h)
-    _, X, U, steps, diverged = _affine_steps(Phi, Psi, x0, 0, int(round(T / h)), store_every,
+    Phi, Psi = _rk4_step_maps(system.A, system.B, step)
+    _, X, U, steps, diverged = _affine_steps(Phi, Psi, x0, 0, int(round(T / step)), stride,
                                              [0], u[None, :], include_end=True)
-    times = steps.astype(float) * h
+    times = steps.astype(float) * step
     Y = X @ system.C.T + U @ system.D.T
     return Trajectory(times=times, states=X, comp_states=np.zeros((X.shape[0], 0)),
-                      outputs=Y, inputs=U, h=h * store_every, diverged=diverged)
+                      outputs=Y, inputs=U, h=h * store_every, diverged=diverged, step=step)
 
 
 @dataclass(frozen=True)
@@ -322,9 +336,9 @@ def run_scenario(ns: NetworkedSystem, comp: Compensator | None,
 
     ``controllers`` maps scenario keys to (kappa_1, kappa_2) tracking
     controllers with inputs (y_i, y_i^d). Segment and reference switch
-    times are quantized to the step grid. Returns the trajectory (plant
-    state, compensator state, outputs, reference, commands) and one
-    stability report per segment.
+    times are quantized to the grid of :func:`guarded_step`. Returns the
+    trajectory (plant state, compensator state, outputs, reference,
+    commands) and one stability report per segment.
     """
     plant, phi_slice, x_slice = compensated_plant(ns, comp)
     n_plant = plant.n
@@ -335,9 +349,7 @@ def run_scenario(ns: NetworkedSystem, comp: Compensator | None,
         if key not in controllers:
             raise KeyError(f"scenario references unknown controller set {key!r}")
         loops[key] = closed_tracking_loop(plant, controllers[key], q_dims)
-    h = scenario.h
-    for loop in loops.values():
-        check_step(loop.A, h)
+    h, store = guarded_step(scenario.h, scenario.store_every, [lp.A for lp in loops.values()])
 
     ref = scenario.reference or ReferenceSignal.constant(np.zeros(ns.q))
     if ref.width != ns.q:
@@ -352,7 +364,6 @@ def run_scenario(ns: NetworkedSystem, comp: Compensator | None,
     n_steps = int(round(scenario.horizon / h))
     bounds = [int(round(t / h)) for t, _ in scenario.segments] + [n_steps]
     keys = [k for _, k in scenario.segments]
-    store = scenario.store_every
 
     all_t, all_x, all_y, all_u, all_yd = [], [], [], [], []
     seg_reports: list[SegmentReport] = []
@@ -392,8 +403,8 @@ def run_scenario(ns: NetworkedSystem, comp: Compensator | None,
     traj = Trajectory(times=times, states=Xp[:, x_slice], comp_states=Xp[:, phi_slice],
                       outputs=np.vstack(all_y) if all_y else np.zeros((0, ns.q)),
                       inputs=np.vstack(all_yd) if all_yd else np.zeros((0, ns.q)),
-                      h=h * store, diverged=diverged,
-                      commands=np.vstack(all_u) if all_u else np.zeros((0, ns.m)))
+                      h=scenario.h * scenario.store_every, diverged=diverged,
+                      commands=np.vstack(all_u) if all_u else np.zeros((0, ns.m)), step=h)
     return traj, seg_reports
 
 

@@ -23,6 +23,9 @@ MAX_GAIN = 1e150
 check work with, so that its square fits a float. A larger gain on the
 frequency grid means a pole on the imaginary axis to working precision."""
 
+THETA_SCAN_RHOS = (1e-2, 1e-1, 1.0, 1e1, 1e2)
+"""LQR input-weight scalings that :func:`design_theta_gamma_scan` tries."""
+
 
 class SynthesisError(RuntimeError):
     """Riccati / gain design failed (no stabilizing solution)."""
@@ -120,10 +123,9 @@ def design_observer_gain(A, S) -> np.ndarray:
     return -design_theta(A.T, S.T).T
 
 
-def design_theta_gamma_scan(A, R_mat, Gamma, rhos=(1e-2, 1e-1, 1.0, 1e1, 1e2),
-                            tol: float = 1e-4) -> tuple[np.ndarray, float]:
+def design_theta_gamma_scan(A, R_mat, Gamma) -> tuple[np.ndarray, float]:
     """Pick Theta minimizing || (sI - (A + R Theta))^-1 Gamma ||_Hinf over a
-    coarse scan of LQR input-weight scalings rho.
+    coarse scan of LQR input-weight scalings rho (THETA_SCAN_RHOS).
 
     Returns (Theta, gamma_at_minimum). When Gamma vanishes the plain unit
     weights are used (gamma = 0 regardless).
@@ -135,12 +137,12 @@ def design_theta_gamma_scan(A, R_mat, Gamma, rhos=(1e-2, 1e-1, 1.0, 1e1, 1e2),
     if not np.any(Gamma):
         return design_theta(A, R_mat), 0.0
     best = None
-    for rho in rhos:
+    for rho in THETA_SCAN_RHOS:
         try:
             theta = design_theta(A, R_mat, rho)
         except SynthesisError:
             continue
-        g = hinf_norm(StateSpace(A + R_mat @ theta, Gamma, np.eye(n), None), tol=tol)
+        g = hinf_norm(StateSpace(A + R_mat @ theta, Gamma, np.eye(n), None))
         if best is None or g.norm < best[1]:
             best = (theta, g.norm)
     if best is None:

@@ -85,17 +85,12 @@ def _observer_controller(A, B, C, F, H, Q: StateSpace) -> StateSpace:
     the integrator's zero eigenvalues.
     """
     Aq, Bq, Cq, Dq = Q.A, Q.B, Q.C, Q.D
-    nq = Q.n
     Ak = np.block([
         [A + B @ F - H @ C - B @ Dq @ C, B @ Cq],
         [-Bq @ C, Aq],
-    ]) if nq else (A + B @ F - H @ C - B @ Dq @ C)
-    if nq:
-        Bk = np.vstack([H + B @ Dq, Bq])
-        Ck = np.hstack([F - Dq @ C, Cq])
-    else:
-        Bk = H + B @ Dq
-        Ck = F - Dq @ C
+    ])
+    Bk = np.vstack([H + B @ Dq, Bq])
+    Ck = np.hstack([F - Dq @ C, Cq])
     return StateSpace(Ak, Bk, Ck, Dq)
 
 

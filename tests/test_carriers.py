@@ -38,7 +38,7 @@ CASES = {
     "Compensator": (
         lambda: {"Lambda_": -_matrix(2, 2), "Gamma": _matrix(2, 2), "Xi": _matrix(2, 2, "F"),
                  "Theta": _matrix(2, 2), "observer_gain": _matrix(2, 2)},
-        lambda g: Compensator(g["Lambda_"], g["Gamma"], g["Xi"], g["Theta"], eta=2,
+        lambda g: Compensator(g["Lambda_"], g["Gamma"], g["Xi"], g["Theta"],
                               observer_gain=g["observer_gain"])),
     "YoulaController": (
         lambda: {"F": -_matrix(1, 2), "H": _matrix(2, 1)},

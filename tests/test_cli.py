@@ -127,6 +127,22 @@ class TestSimulateCmd:
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert "phi1" in header and "phi6" in header
 
+    def test_stiff_plant_keeps_the_sample_times(self, fixtures, tmp_path):
+        """|lambda|_max just under 25,000 needs eight halvings of the default
+        --h; the CSV keeps the sample times of a plant that needs none."""
+        node = {"B": [[1.0]], "C": [[1.0]], "J": [[1.0]], "S": [[1.0]]}
+        stiff = {"sub1": {**node, "A": [[-24_999.0]], "J": [[0.0]]},
+                 "sub2": {**node, "A": [[-1.0]]}}
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(stiff))
+
+        def times(system, out):
+            assert main(["simulate", system, "--out", str(tmp_path / out)]) == 0
+            rows = (tmp_path / out / "trajectory.csv").read_text().splitlines()[1:]
+            return [row.split(",")[0] for row in rows]
+
+        assert times(str(path), "stiff") == times(fixtures["cascade"], "plain")
+
 
 def stable_network(tmp_path) -> str:
     from netresil.sampling import random_stable_statespace
@@ -171,7 +187,7 @@ class TestNorms:
 
         feedthrough = hinf_norm(StateSpace(-1, 1, -1, 1))     # s / (s + 1)
         assert feedthrough.peak_omega == np.inf
-        monkeypatch.setattr(cli, "hinf_norm", lambda plant, tol: feedthrough)
+        monkeypatch.setattr(cli, "hinf_norm", lambda plant, **kw: feedthrough)
         out = tmp_path / "n3"
         assert main(["norms", stable_network(tmp_path), "--out", str(out)]) == 0
 
@@ -301,17 +317,38 @@ class TestInputBoundary:
         assert "too large" in self._one_error_line(capsys)
 
 
-    def test_guard_lowered_step_is_named(self, fixtures, tmp_path, capsys):
-        """A stiff plant lowers --h below what the sample limit admits; the
-        error names the guard-limited step, not the --h that was given."""
+    def test_stiff_plant_names_needed_step(self, fixtures, tmp_path, capsys):
+        """A plant that needs more than MAX_HALVINGS halvings of --h is refused
+        with the --h given and the step the guard needs."""
         stiff = json.loads(open(fixtures["dense"]).read())
         stiff["sub1"]["A"][0][0] = -1e6
         path = tmp_path / "stiff.json"
         path.write_text(json.dumps(stiff))
         assert main(["simulate", str(path), "--out", str(tmp_path / "b")]) == 1
         line = self._one_error_line(capsys)
-        assert "step guard lowers --h 0.001 to h=" in line
-        assert "stored samples exceeds the limit" in line
+        assert "h=0.001" in line and "needs h <= 1e-07" in line
+
+    def test_compensator_order_must_match_lambda(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert main(["compensate", fixtures["dense"], "--out", str(out)]) == 0
+        comp = json.loads((out / "compensator.json").read_text())
+        assert comp["eta"] == 6
+        path = tmp_path / "comp.json"
+        for eta in (6.7, 5, "6", True):
+            capsys.readouterr()
+            path.write_text(json.dumps({**comp, "eta": eta}))
+            assert main(["simulate", fixtures["dense"], "--compensator", str(path),
+                         "--out", str(out)]) == 1
+            assert "eta" in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{cascade}", "--seed", "1"], ["norms", "{cascade}", "--seed", "1"],
+        ["attack-search", "{cascade}", "--tol", "1e-3"],
+        ["simulate", "{cascade}", "--tol", "1e-3"], ["grid-demo", "--tol", "1e-3"]])
+    def test_flag_the_command_does_not_read(self, fixtures, tmp_path, capsys, argv):
+        argv = [a.format(**fixtures) for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 1
+        assert "unrecognized arguments" in self._one_error_line(capsys)
 
     @pytest.mark.parametrize("value", [MAX_ENTRY, math.nextafter(MAX_ENTRY, math.inf)],
                              ids=["at_bound", "past_bound"])
@@ -391,6 +428,10 @@ class TestDeterminism:
         b1 = (out1 / "trajectory.csv").read_bytes()
         b2 = (out2 / "trajectory.csv").read_bytes()
         assert b1 == b2
+        # grid seed 3 meets the step guard at 1e-3 / 16, with the samples asked for
+        summary = json.loads((out1 / "summary.json").read_text())
+        assert summary["h"] == 1e-3 / 16
+        assert summary["samples"] == 4 / (1e-3 * 50) + 1
 
 
 class TestExport:

@@ -1,7 +1,7 @@
 """Property test of the CLI contract on the five file commands.
 
-Network and compensator JSON and the text of every flag are drawn at
-random; each run may garble one of them: a flag gets arbitrary text, or a
+Network and compensator JSON and the text of every flag the command takes
+are drawn at random; each run may garble one of them: a flag gets arbitrary text, or a
 part of a document becomes arbitrary JSON, a non-finite or huge matrix or
 a matrix of the wrong shape. Every run must end in an exit code its
 command documents, exit code 1 must come with exactly one ``error:``
@@ -120,14 +120,15 @@ def argvs(draw, root: str, command: str, fault: str):
     "flag" fault one flag given gets arbitrary text."""
     network = os.path.join(root, "network.json")
     flags = {  # name: (usable text, arbitrary text, finite values it may take)
-        "--seed": (st.integers(0, 2**32).map(str), flag_text, None),
-        "--tol": (st.floats(1e-12, 1e-2).map(str), flag_text, None),
         "--out": (st.just(os.path.join(root, "out")),
                   _under(root, "o_") | st.just(network), None)}
+    if command in ("compensate", "norms"):
+        flags["--tol"] = (st.floats(1e-12, 1e-2).map(str), flag_text, None)
     if command == "compensate":
         flags["--theta-policy"] = (st.sampled_from(["gamma_scan", "lqr"]), flag_text, None)
     if command == "simulate":
         flags.update({
+            "--seed": (st.integers(0, 2**32).map(str), flag_text, None),
             "--T": (st.floats(0, T_BUDGET).map(str), flag_text, lambda v: v <= T_BUDGET),
             "--h": (st.floats(H_FLOOR, 0.1).map(str), flag_text,
                     lambda v: v <= 0 or v >= H_FLOOR),
@@ -135,8 +136,8 @@ def argvs(draw, root: str, command: str, fault: str):
             "--compensator": (st.just(os.path.join(root, "comp.json")),
                               _under(root, "c_"), None)})
     # --out always, so that no run writes to the default ./out
-    names = ["--out", *draw(st.lists(st.sampled_from(sorted(set(flags) - {"--out"})),
-                                     unique=True))]
+    others = sorted(set(flags) - {"--out"})
+    names = ["--out", *(draw(st.lists(st.sampled_from(others), unique=True)) if others else [])]
     bad = draw(st.sampled_from(names)) if fault == "flag" else None
     argv = [command, network]
     for name in names:

@@ -103,7 +103,7 @@ class TestAttach:
         ns = scalar_network()
         sigma = interconnect(ns)
         comp = Compensator(Lambda_=sigma.A, Gamma=np.zeros((2, 2)),
-                           Xi=-ns.output_map(), Theta=np.zeros((2, 2)), eta=2)
+                           Xi=-ns.output_map(), Theta=np.zeros((2, 2)))
         sysc = attach_compensator(ns, comp)
         grid = default_grid()
         a = eval_frequency(sysc, grid).values
@@ -156,14 +156,14 @@ class TestValidation:
     def test_shapes_checked_against_eta(self):
         with pytest.raises(ValueError, match=r"eta=3: Gamma is \(2, 2\), expected \(3, \*\)"):
             Compensator(Lambda_=-np.eye(3), Gamma=np.zeros((2, 2)), Xi=np.zeros((1, 3)),
-                        Theta=np.zeros((3, 3)), eta=3)
+                        Theta=np.zeros((3, 3)))
         with pytest.raises(ValueError, match=r"Lambda is \(3, 2\), expected \(3, 3\)"):
             Compensator(Lambda_=np.zeros((3, 2)), Gamma=np.zeros((3, 2)), Xi=np.zeros((1, 3)),
-                        Theta=np.zeros((3, 3)), eta=3)
+                        Theta=np.zeros((3, 3)))
 
     def test_nonfinite_and_cut_rejected(self):
         good = dict(Lambda_=-np.eye(2), Gamma=np.zeros((2, 2)), Xi=np.zeros((2, 2)),
-                    Theta=np.zeros((2, 2)), eta=2)
+                    Theta=np.zeros((2, 2)))
         Compensator(**good)
         with pytest.raises(ValueError, match="non-finite"):
             Compensator(**{**good, "Theta": np.full((2, 2), np.nan)})
@@ -173,7 +173,7 @@ class TestValidation:
     def test_attach_checks_network_dimensions(self, dense_siso):
         comp = synthesize_compensator(dense_siso)
         narrow = Compensator(Lambda_=comp.Lambda_, Gamma=comp.Gamma, Xi=comp.Xi,
-                             Theta=comp.Theta[:1], eta=comp.eta)
+                             Theta=comp.Theta[:1])
         with pytest.raises(ValueError, match=r"Theta is \(1, 6\), expected \(6, 6\)"):
             attach_compensator(dense_siso, narrow)
 
@@ -186,7 +186,7 @@ class TestPerformanceBound:
                                                 np.zeros((1, 0)), np.zeros((0, 1)),
                                                 np.zeros((1, 0)), None), np.eye(1))
         comp = Compensator(Lambda_=np.array([[-2.0]]), Gamma=np.array([[1.0, 0.0]]),
-                           Xi=-ns_like.output_map(), Theta=np.array([[-2.0]]), eta=1)
+                           Xi=-ns_like.output_map(), Theta=np.array([[-2.0]]))
         pb = performance_bound(comp, ns_like)
         assert pb.gamma == pytest.approx(0.5, rel=1e-3)
         assert pb.factor == pytest.approx(1.5, rel=1e-3)
@@ -194,7 +194,7 @@ class TestPerformanceBound:
     def test_unstable_raises(self, dense_siso):
         comp = synthesize_compensator(dense_siso)
         bad = Compensator(Lambda_=comp.Lambda_, Gamma=comp.Gamma, Xi=comp.Xi,
-                          Theta=np.zeros_like(comp.Theta), eta=comp.eta)
+                          Theta=np.zeros_like(comp.Theta))
         sigma = interconnect(dense_siso)
         if spectral_abscissa(sigma.A) >= 0:
             with pytest.raises(SynthesisError):

@@ -5,10 +5,10 @@ from netresil.compensator import compensated_plant, synthesize_compensator
 from netresil.lti import StateSpace
 from netresil.powergrid import design_tracking_controllers, grid_network
 from netresil.sampling import random_networked_system
-from netresil.simulate import (DIVERGENCE_LIMIT, DivergenceError, ReferenceSignal,
-                               Scenario, StepSizeError, _rk4_step_maps,
+from netresil.simulate import (DIVERGENCE_LIMIT, MAX_HALVINGS, DivergenceError,
+                               ReferenceSignal, Scenario, StepSizeError, _rk4_step_maps,
                                closed_tracking_loop, l2_energy, l2_norm,
-                               max_step, run_scenario, simulate)
+                               run_scenario, simulate)
 
 
 def decay():
@@ -38,9 +38,25 @@ class TestSimulate:
         assert np.all(np.isfinite(traj.states))
 
     def test_step_guard(self):
-        with pytest.raises(StepSizeError):
-            simulate(StateSpace(-200.0, 0, 1, 0), [1.0], None, T=1.0, h=1e-2)
-        assert max_step(np.array([[-200.0]])) == pytest.approx(5e-4)
+        """|lambda| = 200 admits h <= 5e-4: h = 1e-2 is halved five times and
+        the stride doubled as often, so the samples asked for are kept."""
+        fast = StateSpace(-200.0, 0, 1, 0)
+        traj = simulate(fast, [1.0], None, T=1.0, h=1e-2, store_every=3)
+        asked = simulate(decay(), [1.0], None, T=1.0, h=1e-2, store_every=3)
+        assert np.array_equal(traj.times, asked.times)
+        assert traj.h == asked.h == 1e-2 * 3 and asked.step == 1e-2
+        assert traj.step * 200 <= 0.1 < 2 * traj.step * 200
+        assert traj.step == 1e-2 / 2 ** 5
+        assert traj.states[-1, 0] == pytest.approx(np.exp(-200.0), abs=1e-12)
+
+    def test_step_guard_refuses_past_the_halving_cap(self):
+        h = 1e-3
+        # 0.1 / (h / 2^cap) is the stiffest |lambda| the cap admits
+        limit = 0.1 * 2 ** MAX_HALVINGS / h
+        assert simulate(StateSpace(-limit, 0, 1, 0), [1.0], None, T=0.1, h=h).step \
+            == h / 2 ** MAX_HALVINGS
+        with pytest.raises(StepSizeError, match=r"h=0.001 .* needs h <= 1e-07"):
+            simulate(StateSpace(-1e6, 0, 1, 0), [1.0], None, T=0.1, h=h)
 
     def test_fourth_order_convergence(self):
         ref = np.exp(-1.0)
