@@ -23,7 +23,8 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from .lti import StateSpace, default_grid, eval_frequency, frozen_array, is_hurwitz
+from .lti import (StateSpace, default_grid, eval_frequency, frozen_array, is_controllable,
+                  is_hurwitz)
 from .network import NetworkedSystem, interconnect
 from .synthesis import (MAX_GAIN, HinfResult, SynthesisError, design_observer_gain,
                         design_theta, design_theta_gamma_scan, hinf_norm)
@@ -169,8 +170,6 @@ def synthesize_compensator(ns: NetworkedSystem, theta_policy: str = "gamma_scan"
         cut = default_cut(ns)
     sigma = interconnect(ns)
     A, R = sigma.A, ns.R
-    from .lti import is_controllable
-
     if not is_controllable(A, R):
         raise SynthesisError("(A, R) must be controllable to place the "
                              "supervisory dynamics")
@@ -307,8 +306,6 @@ def performance_bound(comp: Compensator, ns: NetworkedSystem) -> PerformanceBoun
     stable, absc = is_hurwitz(Acl, margin=0.0)
     if not stable:
         raise SynthesisError(f"A + R Theta not Hurwitz (abscissa {absc:.3e})")
-    if not np.any(comp.Gamma):
-        return PerformanceBound(gamma=0.0, factor=1.0, peak_omega=0.0)
     res: HinfResult = hinf_norm(StateSpace(Acl, comp.Gamma, np.eye(ns.n), None))
     return PerformanceBound(gamma=res.norm, factor=1.0 + res.norm,
                             peak_omega=res.peak_omega)

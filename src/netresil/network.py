@@ -17,7 +17,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .lti import DimensionError, StateSpace, frozen_array, is_controllable, is_observable
+from .lti import (DimensionError, StateSpace, blockdiag, feedback_interconnect, frozen_array,
+                  is_controllable, is_observable)
 
 
 @dataclass(frozen=True)
@@ -269,8 +270,6 @@ def close_local_controllers(plant: StateSpace, k1: StateSpace,
                             k2: StateSpace) -> StateSpace:
     """Close channel-wise controllers (u1 = k1(y1), u2 = k2(y2)) on a plant
     whose inputs/outputs stack the two channel groups."""
-    from .lti import blockdiag, feedback_interconnect
-
     K = blockdiag(k1, k2)
     if K.q != plant.m or K.m != plant.q:
         raise DimensionError("controller channel dimensions do not match the plant")

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .lti import StateSpace, frozen_array, spectral_abscissa
-from .network import NetworkedSystem, Subsystem
+from .network import NetworkedSystem, Subsystem, interconnect
 from .sampling import random_stable_statespace
 from .simulate import ReferenceSignal, closed_tracking_loop
 from .synthesis import SynthesisError, design_observer_gain, solve_care
@@ -253,8 +253,6 @@ def find_destabilizing_attack(ns: NetworkedSystem, k1: TrackingController,
     attacked loops remain locally stable by construction, so a hit is a
     certified resilience violation.
     """
-    from .network import interconnect
-
     plant = interconnect(ns)
     rng = np.random.default_rng(seed)
     q_dims = (ns.sub1.q, ns.sub2.q)

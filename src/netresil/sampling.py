@@ -78,17 +78,11 @@ def random_networked_system(rng: np.random.Generator, n1: int = 3, n2: int = 3,
     return NetworkedSystem(s1, s2, np.eye(n1 + n2))
 
 
-def random_cascade_system(rng: np.random.Generator, n1: int = 3, n2: int = 3,
-                          direction: str = "1to2") -> NetworkedSystem:
-    """SISO network with one influence direction structurally zero."""
+def random_cascade_system(rng: np.random.Generator, n1: int = 3, n2: int = 3
+                          ) -> NetworkedSystem:
+    """SISO network in which nothing flows 2 -> 1 (J1 = 0)."""
     ns = random_networked_system(rng, n1, n2)
-    s1, s2 = ns.sub1, ns.sub2
-    if direction == "1to2":
-        # nothing flows 2 -> 1
-        s1 = Subsystem(s1.A, s1.B, s1.C, np.zeros_like(s1.J), s1.S, None)
-    elif direction == "2to1":
-        s2 = Subsystem(s2.A, s2.B, s2.C, np.zeros_like(s2.J), s2.S, None)
-    else:
-        raise ValueError("direction must be '1to2' or '2to1'")
-    return NetworkedSystem(s1, s2, ns.R)
+    s1 = ns.sub1
+    return NetworkedSystem(Subsystem(s1.A, s1.B, s1.C, np.zeros_like(s1.J), s1.S, None),
+                           ns.sub2, ns.R)
 

@@ -190,13 +190,13 @@ def hinf_norm(g: StateSpace, tol: float = 1e-4, max_iter: int = 100) -> HinfResu
     :class:`SynthesisError` on unstable systems and when the norm exceeds
     ``MAX_GAIN`` (or the grid holds a non-finite response).
     """
-    if g.n == 0 or not np.any(g.B) or not np.any(g.C):
-        d_norm = _sigma_max(g.D)
-        return HinfResult(norm=d_norm, peak_omega=0.0, iterations=0, converged=True,
-                          grid_max=d_norm)
     stable, absc = is_hurwitz(g.A, margin=0.0)
     if not stable:
         raise SynthesisError(f"hinf_norm requires a Hurwitz A (abscissa {absc:.3e})")
+    if not np.any(g.B) or not np.any(g.C):
+        d_norm = _sigma_max(g.D)
+        return HinfResult(norm=d_norm, peak_omega=0.0, iterations=0, converged=True,
+                          grid_max=d_norm)
 
     grid = default_grid()
     fr = eval_frequency(g, grid)

@@ -141,17 +141,18 @@ class AllPassParam:
     a: float
 
     def __post_init__(self):
-        if not (self.k > 0 and self.a > 0):
-            raise ValueError("all-pass parameters require k > 0 and a > 0")
+        if not (0 < self.k < np.inf and 0 < self.a < np.inf):
+            raise ValueError("all-pass parameters require finite k > 0 and a > 0")
 
 
 def allpass_fit(omega: float, qbar: complex) -> AllPassParam:
     """Find (k, a) with k ((jw - a)/(jw + a))^2 = qbar at w = omega.
 
     k = |qbar|; the phase theta = arg(qbar) in [0, 2pi) fixes
-    a = omega / tan((2pi - theta)/4). A target exactly on the positive real
-    axis (theta = 0) is degenerate; a is floored at 1e-6 omega, trading a
-    small fit error for a strictly stable pole.
+    a = omega / tan((2pi - theta)/4). A target on the positive real axis
+    (theta = 0, or theta rounded up to 2pi from just below the axis) is
+    degenerate; a is floored at 1e-6 omega, trading a small fit error for
+    a strictly stable pole.
     """
     if omega <= 0:
         raise ValueError("allpass_fit requires omega > 0")
@@ -160,8 +161,7 @@ def allpass_fit(omega: float, qbar: complex) -> AllPassParam:
     k = abs(qbar)
     theta = float(np.angle(qbar)) % (2.0 * np.pi)
     denom = np.tan((2.0 * np.pi - theta) / 4.0)
-    a = omega / denom if denom > 0 else np.inf
-    a = max(a, 1e-6 * omega)
+    a = max(omega / denom if denom > 0 else 0.0, 1e-6 * omega)
     return AllPassParam(k=float(k), a=float(a))
 
 

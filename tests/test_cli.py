@@ -178,6 +178,22 @@ class TestNorms:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "Hurwitz" in err[0]
 
+    def test_unstable_zero_input_network_exit_five(self, tmp_path, capsys):
+        """With B = 0 the plant's transfer is identically zero, but the
+        coupled network is still unstable, so norms refuses it."""
+        from netresil.network import NetworkedSystem, Subsystem
+
+        ns = NetworkedSystem(Subsystem(0.5, 0.0, 1.0, 1.0, 1.0, None),
+                             Subsystem(-2.0, 0.0, 1.0, 1.0, 1.0, None), np.eye(2))
+        path = tmp_path / "zero_input.json"
+        ns.to_json(path)
+        out = tmp_path / "n5"
+        assert main(["norms", str(path), "--out", str(out)]) == 5
+        rep = json.loads((out / "norms.json").read_text())
+        assert rep == {"spectral_abscissa": pytest.approx((np.sqrt(10.25) - 1.5) / 2)}
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "Hurwitz" in err[0], err
+
     def test_infinite_peak_frequency_written_as_null(self, tmp_path, monkeypatch):
         """A feedthrough-dominated norm peaks at omega = inf; the report must
         stay valid JSON. The interconnected plant is strictly proper, so the

@@ -323,9 +323,81 @@ class TestHelpers:
         assert not is_controllable(A, np.array([[1.0], [0.0]]))
         assert is_observable(A, np.array([[1.0, 0.0]]))
         assert not is_observable(A, np.array([[0.0, 1.0]]))
+        assert not is_controllable(np.eye(3), np.zeros((3, 2)))
+        assert is_controllable(np.zeros((0, 0)), np.zeros((0, 1)))
 
     def test_spectral_abscissa_empty(self):
         assert spectral_abscissa(np.zeros((0, 0))) == -np.inf
+
+
+def _pbh_controllable(A, B) -> bool:
+    """PBH (Hautus) oracle: rank [lambda I - A, B] = n at every eigenvalue
+    of A, a singular value counting above 1e-8 of the largest."""
+    n = A.shape[0]
+    for lam in np.linalg.eigvals(A):
+        s = np.linalg.svd(np.hstack([lam * np.eye(n) - A, B]), compute_uv=False)
+        if np.sum(s > 1e-8 * s[0]) < n:
+            return False
+    return True
+
+
+def _random_pair(rng):
+    n, m = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+    return rng.normal(size=(n, n)), rng.normal(size=(n, m))
+
+
+def _rotated_block_triangular(rng):
+    """Exactly uncontrollable pair: the last n - k states see neither the
+    first k states nor the input (A21 = 0, B2 = 0), hidden by a random
+    orthogonal change of basis."""
+    n, m = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+    k = int(rng.integers(1, n))
+    A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+    A[k:, :k] = 0.0
+    B[k:] = 0.0
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return Q @ A @ Q.T, Q @ B
+
+
+def _chain(rng, n):
+    """Single-input chain u -> x1 -> ... -> xn with poles spread less than
+    the links, so the PBH oracle stays well conditioned. The Krylov matrix
+    [B, AB, ...] (blocks scaled by ||A||^k) has numerical rank 22 at n = 30
+    and 28 at n = 60."""
+    A = np.diag(-1.0 - 0.1 * rng.uniform(size=n)) + np.diag(rng.uniform(0.5, 2.0, n - 1), -1)
+    B = np.zeros((n, 1))
+    B[0] = 1.0
+    return A, B
+
+
+class TestControllabilityOracle:
+    """The staircase verdict against the PBH oracle."""
+
+    @pytest.mark.parametrize("family", [_random_pair, _rotated_block_triangular])
+    def test_agrees_with_pbh(self, family):
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for _ in range(200):
+            A, B = family(rng)
+            want = _pbh_controllable(A, B)
+            verdicts.add(want)
+            assert is_controllable(A, B) == want
+            assert is_observable(A.T, B.T) == want
+            for c in (1e-8, 1e8):
+                assert is_controllable(A, c * B) == want
+        assert verdicts == {family is _random_pair}
+
+    @pytest.mark.parametrize("n", [2, 10, 30, 60])
+    def test_single_input_chain(self, n):
+        rng = np.random.default_rng(n)
+        A, B = _chain(rng, n)
+        assert _pbh_controllable(A, B) and is_controllable(A, B)
+        A[n // 2, n // 2 - 1] = 0.0     # cut one link
+        assert not _pbh_controllable(A, B) and not is_controllable(A, B)
+
+    def test_dense_a60_full_input(self):
+        A = np.random.default_rng(60).normal(size=(60, 60))
+        assert _pbh_controllable(A, np.eye(60)) and is_controllable(A, np.eye(60))
 
 
 @settings(max_examples=25, deadline=None)

@@ -116,6 +116,12 @@ class TestHinfNorm:
         with pytest.raises(SynthesisError):
             hinf_norm(StateSpace(1, 1, 1, 0))
 
+    @pytest.mark.parametrize("B, C", [(0.0, 1.0), (1.0, 0.0)])
+    def test_unstable_zero_channel_raises(self, B, C):
+        # the zero-channel shortcut must not skip the stability check
+        with pytest.raises(SynthesisError, match="Hurwitz"):
+            hinf_norm(StateSpace(np.diag([0.5, -2.0]), [[B], [B]], [[C, C]], 0))
+
     def test_identically_zero_transfer(self):
         # B drives only the mode that C does not see
         res = hinf_norm(StateSpace(np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[0.0, 1.0]], 0))

@@ -226,6 +226,18 @@ class TestAllPass:
         # guarded fit trades phase accuracy for a strictly stable pole
         assert abs(q.transfer_at(2j)[0, 0] - 3.0) <= 1e-4 * 3.0
 
+    def test_phase_rounding_to_two_pi_takes_the_guard(self):
+        # arg(1 - 1e-17j) mod 2pi rounds to 2pi: the positive real axis
+        p = allpass_fit(1.0, 1.0 - 1e-17j)
+        assert p == allpass_fit(1.0, 1.0 + 0.0j)
+        assert p.a == 1e-6
+        assert abs(allpass_ss(p).transfer_at(1j)[0, 0] - 1.0) <= 1e-4
+
+    @pytest.mark.parametrize("k, a", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)])
+    def test_non_finite_parameters_refused(self, k, a):
+        with pytest.raises(ValueError, match="finite"):
+            AllPassParam(k, a)
+
     def test_magnitude_is_k_everywhere(self):
         q = allpass_ss(AllPassParam(2.5, 0.7))
         for w in (1e-3, 0.1, 1.0, 10.0, 1e3):
