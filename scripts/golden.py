@@ -3,8 +3,10 @@
 
 A refactor that is meant to change no output is checked by running this
 script from the root of each checkout and comparing the two manifests.
-Everything goes under ``golden/`` relative to the working directory; the
-path must be the same on both sides because ``summary.json`` embeds it.
+Everything goes under ``golden/`` relative to the working directory, which
+the script empties first so that the manifest lists only files this run
+wrote; the path must be the same on both sides because ``summary.json``
+embeds it.
 
   golden/grid/fig_*/            the three scripts/run_grid_demo.py timelines
   golden/grid_observer/         grid-demo with the observer-fed compensator
@@ -25,6 +27,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -59,7 +62,8 @@ def run_cli(argv: list[str]):
 
 
 def main() -> int:
-    os.makedirs(OUT, exist_ok=True)
+    shutil.rmtree(OUT, ignore_errors=True)
+    os.makedirs(OUT)
     outcomes = {}
     grid = subprocess.run([sys.executable, os.path.join(HERE, "run_grid_demo.py"),
                            "--out", f"{OUT}/grid"], capture_output=True, text=True)

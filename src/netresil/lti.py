@@ -325,14 +325,11 @@ def spectral_abscissa(A) -> float:
     return float(np.linalg.eigvals(A).real.max())
 
 
-def is_hurwitz(A, margin: float = 1e-9) -> tuple[bool, float]:
-    """True iff every eigenvalue satisfies Re(lambda) < -margin.
-
-    Returns (verdict, spectral abscissa). The default margin guards
-    against eigensolver round-off on marginal cases.
-    """
+def is_hurwitz(A) -> tuple[bool, float]:
+    """(every computed eigenvalue has Re(lambda) < 0, spectral abscissa);
+    a caller that needs a stability margin compares the abscissa itself."""
     a = spectral_abscissa(A)
-    return bool(a < -margin), a
+    return bool(a < 0), a
 
 
 def is_controllable(A, B) -> bool:

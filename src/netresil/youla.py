@@ -51,14 +51,14 @@ class YoulaController:
         object.__setattr__(self, "H", frozen_array(self.H, "H"))
 
     def validate(self, sub: Subsystem) -> None:
-        ok_f, a_f = is_hurwitz(sub.A + sub.B @ self.F, margin=0.0)
+        ok_f, a_f = is_hurwitz(sub.A + sub.B @ self.F)
         if not ok_f:
             raise ValueError(f"A + BF not Hurwitz (abscissa {a_f:.3e})")
-        ok_h, a_h = is_hurwitz(sub.A - self.H @ sub.C, margin=0.0)
+        ok_h, a_h = is_hurwitz(sub.A - self.H @ sub.C)
         if not ok_h:
             raise ValueError(f"A - HC not Hurwitz (abscissa {a_h:.3e})")
         if self.Q.n > 0:
-            ok_q, a_q = is_hurwitz(self.Q.A, margin=0.0)
+            ok_q, a_q = is_hurwitz(self.Q.A)
             if not ok_q:
                 raise ValueError(f"free parameter Q unstable (abscissa {a_q:.3e})")
         if self.Q.m != sub.q or self.Q.q != sub.m:

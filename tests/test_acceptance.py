@@ -249,7 +249,7 @@ def test_criterion_7_care_self_certification(random_stabilizable_pair):
         m = int(rng.integers(1, 4))
         A, B = random_stabilizable_pair(rng, n, m)
         sol = solve_care(A, B, np.eye(n), np.eye(m))
-        ok, _ = is_hurwitz(A - B @ sol.K, margin=0.0)
+        ok, _ = is_hurwitz(A - B @ sol.K)
         assert sol.residual_norm <= 1e-8
         assert ok
         worst = max(worst, sol.residual_norm)

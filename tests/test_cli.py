@@ -55,6 +55,18 @@ class TestCheck:
         assert main(["check", fixtures["bad"], "--out", str(tmp_path / "o4")]) == 1
 
 
+    def test_large_input_entry_still_decided(self, tmp_path):
+        # B = 1e6 on one node leaves (A, B) stabilizable: both commands reach
+        # the destabilizer search instead of refusing the Riccati design
+        doc = random_networked_system(np.random.default_rng(4), 3, 3).to_dict()
+        doc["sub1"]["B"][0][0] = 1e6
+        path = tmp_path / "big_b.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), "--out", str(tmp_path / "c")]) == 2
+        assert (tmp_path / "c" / "destabilizer.json").exists()
+        assert main(["attack-search", str(path), "--out", str(tmp_path / "a")]) == 0
+
+
 class TestCompensate:
     def test_dense_writes_artifacts(self, fixtures, tmp_path):
         out = tmp_path / "c1"

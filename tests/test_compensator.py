@@ -16,7 +16,7 @@ from netresil.network import (NetworkedSystem, Subsystem,
                               close_local_controllers, interconnect)
 from netresil.sampling import random_networked_system, random_stable_statespace
 from netresil.simulate import l2_norm, simulate
-from netresil.synthesis import SynthesisError
+from netresil.synthesis import HinfResult, SynthesisError
 from netresil.youla import YoulaController, design_nominal_gains, realize_controller
 
 
@@ -61,7 +61,7 @@ class TestSynthesize:
         acal = sigma.A - want_gamma @ ns.interaction_map()
         assert np.array_equal(comp.Lambda_, acal + ns.R @ comp.Theta)
         assert np.array_equal(comp.Xi, -ns.output_map())
-        ok, _ = is_hurwitz(sigma.A + ns.R @ comp.Theta, margin=0.0)
+        ok, _ = is_hurwitz(sigma.A + ns.R @ comp.Theta)
         assert ok
 
     def test_gamma_rank_equals_kept_coupling_rank(self, rng):
@@ -199,6 +199,17 @@ class TestPerformanceBound:
         if spectral_abscissa(sigma.A) >= 0:
             with pytest.raises(SynthesisError):
                 performance_bound(bad, dense_siso)
+
+    def test_unconverged_norm_refused(self, dense_siso, monkeypatch):
+        # the crossings at the last gamma prove the norm exceeds the midpoint,
+        # so a bound from an unconverged iteration would understate 1 + gamma
+        def unconverged(g):
+            return HinfResult(norm=1.0, peak_omega=0.5, iterations=100, converged=False,
+                              grid_max=0.9)
+
+        monkeypatch.setattr("netresil.compensator.hinf_norm", unconverged)
+        with pytest.raises(SynthesisError, match="did not converge in 100 iterations"):
+            performance_bound(synthesize_compensator(dense_siso), dense_siso)
 
 
 class TestSpectralSeparation:
@@ -355,7 +366,7 @@ class TestObserverCompensator:
         oc = synthesize_observer_compensator(ns)
         sigma = interconnect(ns)
         S = ns.interaction_map()
-        ok, _ = is_hurwitz(sigma.A - oc.observer_gain @ S, margin=0.0)
+        ok, _ = is_hurwitz(sigma.A - oc.observer_gain @ S)
         assert ok
 
     def test_observer_closed_loop_sweep(self, rng):

@@ -160,7 +160,7 @@ class TestHurwitz:
     def test_agrees_with_simulated_decay(self, rng):
         for _ in range(5):
             g = random_stable_statespace(rng, 3)
-            ok, _ = is_hurwitz(g.A, margin=0.0)
+            ok, _ = is_hurwitz(g.A)
             assert ok
             sys = StateSpace(g.A, np.zeros((3, 0)), np.eye(3), None)
             x0 = rng.standard_normal(3)

@@ -27,7 +27,7 @@ class TestSolveCare:
             sol = solve_care(A, B, np.eye(4), np.eye(2))
             assert sol.residual_norm <= 1e-8
             assert care_residual(A, B, np.eye(4), np.eye(2), sol.P) <= 1e-8
-            ok, _ = is_hurwitz(A - B @ sol.K, margin=0.0)
+            ok, _ = is_hurwitz(A - B @ sol.K)
             assert ok
             assert np.abs(sol.P - sol.P.T).max() <= 1e-10 * max(1, np.abs(sol.P).max())
 
@@ -35,6 +35,19 @@ class TestSolveCare:
         # uncontrollable unstable mode: Hamiltonian eigenvalue at the origin
         with pytest.raises(SynthesisError):
             solve_care([[0.0]], [[0.0]], [[0.0]], [[1.0]])
+
+    @pytest.mark.parametrize("b", [1.0, 1e3, 1e9, 1e20])
+    @pytest.mark.parametrize("a", [-1.0, 0.0, 1.0])
+    def test_scalar_closed_form_at_any_input_scale(self, a, b):
+        # 2aP - b^2 P^2 + 1 = 0 has the stabilizing root (a + sqrt(a^2 + b^2)) / b^2
+        sol = solve_care([[a]], [[b]], [[1.0]], [[1.0]])
+        assert sol.P[0, 0] == pytest.approx((a + np.sqrt(a**2 + b**2)) / b**2, rel=1e-12)
+
+    @pytest.mark.parametrize("a, q", [(1.0, 1.0), (0.0, 0.0)])
+    def test_unreachable_mode_refused_at_large_input_scale(self, a, q):
+        # the first mode (unstable, or on the axis and unweighted) is not driven by B
+        with pytest.raises(SynthesisError):
+            solve_care(np.diag([a, -1.0]), [[0.0], [1e9]], np.diag([q, 1.0]), [[1.0]])
 
     def test_indefinite_weight_raises(self):
         with pytest.raises(SynthesisError):
@@ -50,7 +63,7 @@ class TestGainDesign:
     def test_theta_on_stable_plant_stays_stable(self, rng):
         g = random_stable_statespace(rng, 3)
         th = design_theta(g.A, np.eye(3))
-        ok, _ = is_hurwitz(g.A + th, margin=0.0)
+        ok, _ = is_hurwitz(g.A + th)
         assert ok
 
     def test_observer_gain_scalar_duality(self):
@@ -66,7 +79,7 @@ class TestGainDesign:
         A, C_t = random_stabilizable_pair(rng, 4, 1)
         C = C_t.T
         H = design_observer_gain(A, C)
-        ok, _ = is_hurwitz(A - H @ C, margin=0.0)
+        ok, _ = is_hurwitz(A - H @ C)
         assert ok
 
     def test_duality_transposes(self, rng, random_stabilizable_pair):
@@ -87,7 +100,7 @@ class TestGainDesign:
         A, R = random_stabilizable_pair(rng, 3, 1)
         theta, g = design_theta_gamma_scan(A, R, np.zeros((3, 1)))
         assert g == 0.0
-        ok, _ = is_hurwitz(A + R @ theta, margin=0.0)
+        ok, _ = is_hurwitz(A + R @ theta)
         assert ok
 
 
@@ -179,6 +192,19 @@ class TestHinfLevelSet:
         assert res.converged
         assert abs(res.norm - sig[i2]) <= 1e-4 * sig[i2]
         assert res.peak_omega == pytest.approx(dense[i2], rel=1e-3)
+
+    @pytest.mark.parametrize("F", [1.0, 1e3, 1e5, 1e7])
+    @pytest.mark.parametrize("zeta", [0.05, 0.005])
+    def test_stiff_spectrum_closed_form(self, zeta, F):
+        # an uncoupled pole at -F widens the on-axis window of the Hamiltonian
+        # eigenvalues but leaves the peak of 1/(s^2 + 2 zeta s + 1) in place
+        A = np.zeros((3, 3))
+        A[:2, :2] = [[0.0, 1.0], [-1.0, -2 * zeta]]
+        A[2, 2] = -F
+        res = hinf_norm(StateSpace(A, [[0.0], [1.0], [0.0]], [[1.0, 0.0, 0.0]], 0))
+        peak = 1.0 / (2 * zeta * np.sqrt(1 - zeta**2))
+        assert res.converged
+        assert 0 <= res.norm / peak - 1 <= 1.1e-4
 
     def test_iteration_limit_reported(self):
         # a sharp resonance between grid points: one iteration cannot settle it
