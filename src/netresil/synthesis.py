@@ -54,9 +54,14 @@ class HinfResult:
 
 
 def care_residual(A, B, Q, R_w, P) -> float:
-    """Relative Frobenius residual of A'P + PA - PBR^-1B'P + Q."""
-    res = A.T @ P + P @ A - P @ B @ np.linalg.solve(R_w, B.T @ P) + Q
-    return float(np.linalg.norm(res) / max(1.0, np.linalg.norm(P)))
+    """Relative Frobenius residual of A'P + PA - PBR^-1B'P + Q, over
+    max(1, ||P||). It is formed with P scaled to entries of at most 1, so a
+    stabilizing P whose square exceeds a float (a mode near the axis) does
+    not overflow."""
+    s = max(1.0, float(np.abs(P).max(initial=0.0)))
+    Ps = P / s
+    res = A.T @ Ps + Ps @ A - Ps @ B @ np.linalg.solve(R_w, B.T @ P) + Q / s
+    return float(np.linalg.norm(res) / max(1.0 / s, np.linalg.norm(Ps)))
 
 
 def solve_care(A, B, Q, R_w) -> RiccatiSolution:
@@ -85,7 +90,10 @@ def solve_care(A, B, Q, R_w) -> RiccatiSolution:
         [A, -B @ np.linalg.solve(R_w, B.T)],
         [-Q, -A.T],
     ])
-    T, Z, sdim = sla.schur(H, output="real", sort="lhp")
+    try:
+        T, Z, sdim = sla.schur(H, output="real", sort="lhp")
+    except np.linalg.LinAlgError as exc:  # reordering fails on eigenvalues too close to call
+        raise SynthesisError(f"ordered Schur form failed: {exc}") from exc
     if sdim != n:
         raise SynthesisError(f"stable invariant subspace has dimension {sdim}, expected {n}")
     U1 = Z[:n, :n]
@@ -96,7 +104,7 @@ def solve_care(A, B, Q, R_w) -> RiccatiSolution:
     P = 0.5 * (P + P.T)
     K = np.linalg.solve(R_w, B.T @ P)
     res = care_residual(A, B, Q, R_w, P)
-    if res > _RESIDUAL_TOL:
+    if not res <= _RESIDUAL_TOL:
         raise SynthesisError(f"Riccati residual {res:.2e} exceeds {_RESIDUAL_TOL:.0e}")
     stable, absc = is_hurwitz(A - B @ K)
     if n > 0 and not stable:

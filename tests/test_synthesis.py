@@ -21,6 +21,21 @@ class TestSolveCare:
         assert sol.P[0, 0] == pytest.approx(0.5)
         assert np.allclose(sol.K, 0.0)
 
+    def test_lyapunov_near_the_axis_does_not_overflow(self):
+        # P = 1 / (2|a|) is finite, but its square is not
+        a = -1.0821094976393003e-277
+        sol = solve_care([[a]], [[0.0]], [[1.0]], [[1.0]])
+        assert sol.P[0, 0] == pytest.approx(-0.5 / a, rel=1e-12)
+        assert sol.residual_norm <= 1e-8
+
+    def test_failed_schur_reordering_is_a_synthesis_error(self):
+        A = [[5e-324, 1e-300, -1e30], [5e-324, 5e-324, 1e20], [5e-324, -1e50, 0.0]]
+        B = [[2.8871702403980652, 2.7432610776657818],
+             [-2.1074159266050128, 2.8357728829377296],
+             [2.339613334323124, 1.9342429652584228]]
+        with pytest.raises(SynthesisError):
+            solve_care(A, B, np.eye(3), np.eye(2))
+
     def test_random_residual_self_oracle(self, rng, random_stabilizable_pair):
         for _ in range(5):
             A, B = random_stabilizable_pair(rng, 4, 2)
