@@ -131,8 +131,8 @@ def trajectory_csv(traj: Trajectory, path: str) -> None:
 
 
 def _svg_path(xs: np.ndarray, ys: np.ndarray) -> str:
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-    return pts
+    """``x,y`` pairs to two decimals, one format call for the whole line."""
+    return " ".join(["%.2f,%.2f"] * xs.size) % tuple(np.column_stack((xs, ys)).ravel().tolist())
 
 
 _COLORS = ("#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df",

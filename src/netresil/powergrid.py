@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -163,6 +164,8 @@ class TrackingController:
     u = -Kx xhat - Ke int(y - y_d), with xhat from a Luenberger observer
     on the local cluster; an optional stable free parameter Q perturbs the
     loop through the output innovation without breaking local stability.
+    The parts of a realization that do not depend on Q are built on first
+    use and kept, so each realization assembles only the blocks Q enters.
     """
 
     A: np.ndarray
@@ -176,6 +179,17 @@ class TrackingController:
         for f in ("A", "B", "C", "Kx", "Ke", "L"):
             object.__setattr__(self, f, frozen_array(getattr(self, f), f"tracker {f}"))
 
+    @cached_property
+    def _fixed_parts(self) -> tuple:
+        """The parts of :meth:`realize` that do not depend on Q: the
+        integrator-augmented (A, B, C), the gain -[Kx Ke], the injection
+        [L; I], and the reference columns [0; -I] of B over those states."""
+        n, qd = self.A.shape[0], self.C.shape[0]
+        parts = (*_integrator_augmented(self.A, self.B, self.C),
+                 -np.hstack([self.Kx, self.Ke]), np.vstack([self.L, np.eye(qd)]),
+                 np.vstack([np.zeros((n, qd)), -np.eye(qd)]))
+        return tuple(frozen_array(M, "tracker part") for M in parts)
+
     def realize(self, q_param: StateSpace | None = None) -> StateSpace:
         """Controller with inputs (y, y_d) and output u.
 
@@ -183,19 +197,26 @@ class TrackingController:
         (gain -[Kx Ke], injection [L; I]) with the reference entering the
         integrator as -y_d.
         """
-        n, m, qd = self.A.shape[0], self.B.shape[1], self.C.shape[0]
+        m, qd = self.B.shape[1], self.C.shape[0]
         if q_param is None:
             q_param = StateSpace.from_gain(np.zeros((m, qd)))
-        k = _observer_controller(*_integrator_augmented(self.A, self.B, self.C),
-                                 -np.hstack([self.Kx, self.Ke]),
-                                 np.vstack([self.L, np.eye(qd)]), q_param)
-        Bd = np.vstack([np.zeros((n, qd)), -np.eye(qd), np.zeros((q_param.n, qd))])
-        return StateSpace(k.A, np.hstack([k.B, Bd]), k.C, np.hstack([k.D, np.zeros((m, qd))]))
+        *observer, ref = self._fixed_parts
+        k = _observer_controller(*observer, q_param)
+        B = np.zeros((k.n, 2 * qd))
+        B[:, :qd] = k.B
+        B[:ref.shape[0], qd:] = ref
+        D = np.zeros((m, 2 * qd))
+        D[:, :qd] = k.D
+        return StateSpace(k.A, B, k.C, D)
 
     def local_abscissa(self, q_param: StateSpace | None = None) -> float:
         """Spectral abscissa of the local cluster closed loop."""
+        return self._loop_abscissa(self.realize(q_param))
+
+    def _loop_abscissa(self, controller: StateSpace) -> float:
+        """Spectral abscissa of the cluster closed by a realized controller."""
         plant = StateSpace(self.A, self.B, self.C, None)
-        loop = closed_tracking_loop(plant, [self.realize(q_param)], [self.C.shape[0]])
+        loop = closed_tracking_loop(plant, [controller], [self.C.shape[0]])
         return spectral_abscissa(loop.A)
 
 
@@ -262,12 +283,10 @@ def find_destabilizing_attack(ns: NetworkedSystem, k1: TrackingController,
                                        min_margin=0.2)
         qp2 = random_stable_statespace(rng, 2, m=ns.sub2.q, q=ns.sub2.m, gain=gain,
                                        min_margin=0.2)
-        loc1 = k1.local_abscissa(qp1)
-        loc2 = k2.local_abscissa(qp2)
+        c1, c2 = k1.realize(qp1), k2.realize(qp2)
+        loc1, loc2 = k1._loop_abscissa(c1), k2._loop_abscissa(c2)
         if loc1 >= -1e-6 or loc2 >= -1e-6:
             continue
-        c1 = k1.realize(qp1)
-        c2 = k2.realize(qp2)
         glob = spectral_abscissa(closed_tracking_loop(plant, [c1, c2], q_dims).A)
         if glob > 1e-6:
             return GridAttack(kappa1=c1, kappa2=c2,

@@ -307,15 +307,18 @@ def closed_tracking_loop(plant: StateSpace, controllers: Sequence[StateSpace],
     controller is closed over the last two groups, read per channel as
     (y_i, y_i^d).
     """
-    if np.any(plant.D):
+    if np.count_nonzero(plant.D):
         raise ValueError("tracking loop assembly expects a strictly proper plant")
     if sum(q_dims) != plant.q:
         raise ValueError("channel output dims must cover the plant outputs")
     if any(k.m != 2 * qi for k, qi in zip(controllers, q_dims)):
         raise ValueError("tracking controller must take (y_i, y_i^d)")
     n, m, q = plant.n, plant.m, plant.q
-    B = np.hstack([plant.B, np.zeros((n, q))])
-    C = np.vstack([plant.C, np.zeros((m, n)), plant.C, np.zeros((q, n))])
+    B = np.zeros((n, m + q))
+    B[:, :m] = plant.B
+    C = np.zeros((3 * q + m, n))
+    C[:q] = plant.C
+    C[q + m:2 * q + m] = plant.C
     D = np.zeros((3 * q + m, m + q))
     D[q:q + m, :m] = np.eye(m)
     D[2 * q + m:, m:] = np.eye(q)

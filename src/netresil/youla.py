@@ -40,7 +40,8 @@ def design_nominal_gains(sub: Subsystem) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class YoulaController:
-    """Gains plus stable free parameter; validated against the node."""
+    """Gains plus stable free parameter; validated against the node, the
+    gains once per node (see :meth:`validate`)."""
 
     F: np.ndarray
     H: np.ndarray
@@ -51,12 +52,24 @@ class YoulaController:
         object.__setattr__(self, "H", frozen_array(self.H, "H"))
 
     def validate(self, sub: Subsystem) -> None:
-        ok_f, a_f = is_hurwitz(sub.A + sub.B @ self.F)
-        if not ok_f:
-            raise ValueError(f"A + BF not Hurwitz (abscissa {a_f:.3e})")
-        ok_h, a_h = is_hurwitz(sub.A - self.H @ sub.C)
-        if not ok_h:
-            raise ValueError(f"A - HC not Hurwitz (abscissa {a_h:.3e})")
+        """Refuse gains or a free parameter that do not stabilize ``sub``.
+
+        A + BF and A - HC are checked once per node and gain pair: ``sub``
+        remembers, in one slot keyed by the pair's shapes and bytes, the
+        last pair that passed both, and only a different pair is checked
+        again. A pair that fails is never remembered. The stability of Q
+        and its channel shapes are checked on every call.
+        """
+        key = (self.F.shape, self.H.shape, self.F.tobytes(), self.H.tobytes())
+        memo = vars(sub)                # the slot lives beside sub's cached properties
+        if memo.get("_stable_gains") != key:
+            ok_f, a_f = is_hurwitz(sub.A + sub.B @ self.F)
+            if not ok_f:
+                raise ValueError(f"A + BF not Hurwitz (abscissa {a_f:.3e})")
+            ok_h, a_h = is_hurwitz(sub.A - self.H @ sub.C)
+            if not ok_h:
+                raise ValueError(f"A - HC not Hurwitz (abscissa {a_h:.3e})")
+            memo["_stable_gains"] = key
         if self.Q.n > 0:
             ok_q, a_q = is_hurwitz(self.Q.A)
             if not ok_q:
@@ -85,12 +98,19 @@ def _observer_controller(A, B, C, F, H, Q: StateSpace) -> StateSpace:
     the integrator's zero eigenvalues.
     """
     Aq, Bq, Cq, Dq = Q.A, Q.B, Q.C, Q.D
-    Ak = np.block([
-        [A + B @ F - H @ C - B @ Dq @ C, B @ Cq],
-        [-Bq @ C, Aq],
-    ])
-    Bk = np.vstack([H + B @ Dq, Bq])
-    Ck = np.hstack([F - Dq @ C, Cq])
+    n, nk = A.shape[0], A.shape[0] + Q.n
+    BDq = B @ Dq
+    Ak = np.empty((nk, nk))
+    Ak[:n, :n] = A + B @ F - H @ C - BDq @ C
+    Ak[:n, n:] = B @ Cq
+    Ak[n:, :n] = -Bq @ C
+    Ak[n:, n:] = Aq
+    Bk = np.empty((nk, C.shape[0]))
+    Bk[:n] = H + BDq
+    Bk[n:] = Bq
+    Ck = np.empty((B.shape[1], nk))
+    Ck[:, :n] = F - Dq @ C
+    Ck[:, n:] = Cq
     return StateSpace(Ak, Bk, Ck, Dq)
 
 

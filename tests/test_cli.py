@@ -496,6 +496,16 @@ class TestExport:
         polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
         assert len(polylines) == 2
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 2000])
+    def test_polyline_points_match_per_point_format(self, rng, k):
+        from netresil.export import _svg_path
+
+        xs, ys = 700.0 * rng.random(k), 1e3 * rng.standard_normal(k)
+        if k:
+            xs[0], ys[0], ys[-1] = -0.0, -0.004, 0.005
+        want = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        assert _svg_path(xs, ys) == want
+
 
 def serial_csv(traj: Trajectory) -> bytes:
     """Reference CSV: the header, then every row through the one-line formatter."""

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netresil.lti import (StateSpace, eval_frequency, feedback_interconnect,
-                          is_controllable, spectral_abscissa)
+                          is_controllable, is_hurwitz, spectral_abscissa)
 from netresil.network import CascadeVerdict, NetworkedSystem, Subsystem, is_cascade
 from netresil.sampling import (random_cascade_system, random_networked_system,
                                random_stable_statespace, random_subsystem)
@@ -150,6 +150,100 @@ class TestRealizeController:
             k = realize_controller(node, YoulaController(F, H, Q))
             worst = max(worst, spectral_abscissa(feedback_interconnect(plant, k).A))
         assert worst < 0, f"sweep seed {seed} found a destabilizing parameter"
+
+
+class TestRememberedGainCheck:
+    """A + BF and A - HC are checked once per node and gain pair."""
+
+    @staticmethod
+    def _unstable(node):
+        # a node whose A is unstable, so zero gains do not stabilize it
+        return Subsystem(node.A + (1.0 - spectral_abscissa(node.A)) * np.eye(node.n),
+                         node.B, node.C, node.J, node.S, None)
+
+    def test_unstable_gain_refused_on_every_call(self, node):
+        bad = self._unstable(node)
+        F, H = np.zeros((1, node.n)), np.zeros((node.n, 1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="A \\+ BF"):
+                realize_controller(bad, YoulaController(F, H, zero_parameter(bad)))
+
+    def test_pair_checked_once(self, node, gains, monkeypatch):
+        import netresil.youla as youla
+
+        checked = []
+        monkeypatch.setattr(youla, "is_hurwitz",
+                            lambda A: checked.append(A.shape) or is_hurwitz(A))
+        Q = random_stable_statespace(np.random.default_rng(3), 2, 1, 1)
+        for _ in range(3):
+            realize_controller(node, YoulaController(*gains, Q))
+        # F and H on the first call only, Q on every call
+        assert checked == [(node.n, node.n)] * 2 + [(2, 2)] * 3
+
+    def test_different_unstable_gain_refused_after_a_valid_pair(self, node, gains):
+        F, H = gains
+        realize_controller(node, YoulaController(F, H, zero_parameter(node)))
+        # + c times a projector: one eigenvalue near c, far right of the rest
+        c = 10.0 * (1.0 + np.linalg.norm(node.A + node.B @ F) + np.linalg.norm(node.A - H @ node.C))
+        F_bad = F + c * np.linalg.pinv(node.B)
+        H_bad = H - c * np.linalg.pinv(node.C)
+        assert spectral_abscissa(node.A + node.B @ F_bad) >= 0
+        assert spectral_abscissa(node.A - H_bad @ node.C) >= 0
+        with pytest.raises(ValueError, match="A \\+ BF"):
+            realize_controller(node, YoulaController(F_bad, H, zero_parameter(node)))
+        with pytest.raises(ValueError, match="A - HC"):
+            realize_controller(node, YoulaController(F, H_bad, zero_parameter(node)))
+        realize_controller(node, YoulaController(F, H, zero_parameter(node)))
+
+    def test_unstable_parameter_refused_with_a_remembered_pair(self, node, gains):
+        realize_controller(node, YoulaController(*gains, zero_parameter(node)))
+        with pytest.raises(ValueError, match="unstable"):
+            realize_controller(node, YoulaController(*gains, StateSpace(1.0, 1.0, 1.0, 0.0)))
+
+    def test_pair_not_trusted_on_another_node(self, node, gains):
+        F, H = gains
+        realize_controller(node, YoulaController(F, H, zero_parameter(node)))
+        # same shapes, A shifted right until A + BF has abscissa 1
+        shift = 1.0 - spectral_abscissa(node.A + node.B @ F)
+        other = Subsystem(node.A + shift * np.eye(node.n), node.B, node.C,
+                          node.J, node.S, None)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="A \\+ BF"):
+                realize_controller(other, YoulaController(F, H, zero_parameter(other)))
+
+
+    def test_threads_never_accept_an_unstable_pair(self, node, gains):
+        import sys
+        import threading
+
+        F, H = gains
+        F_bad = F + 10.0 * (1.0 + np.linalg.norm(node.A + node.B @ F)) * np.linalg.pinv(node.B)
+        good = YoulaController(F, H, zero_parameter(node))
+        bad = YoulaController(F_bad, H, zero_parameter(node))
+        errors = []
+
+        def worker(k):
+            for i in range(100):
+                try:
+                    realize_controller(node, bad if (i + k) % 2 else good)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                if accepted == bool((i + k) % 2):
+                    errors.append((k, i, accepted))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestLocalMapDelta:
