@@ -61,6 +61,25 @@ def run_cli(argv: list[str]):
             return f"{type(exc).__name__}: {exc}"
 
 
+def run_networks(out: str) -> dict:
+    """Run the file commands on each of :func:`networks` under ``out`` and
+    return their outcomes by "<network> <command>"."""
+    outcomes = {}
+    for name, ns in networks().items():
+        base = f"{out}/{name}"
+        os.makedirs(base, exist_ok=True)
+        system = f"{base}/network.json"
+        ns.to_json(system)
+        for cmd in ("check", "attack-search", "compensate", "norms"):
+            outcomes[f"{name} {cmd}"] = run_cli([cmd, system, "--out", f"{base}/{cmd}"])
+        comp = f"{base}/compensate/compensator.json"
+        if os.path.exists(comp):
+            outcomes[f"{name} simulate"] = run_cli(
+                ["simulate", system, "--compensator", comp, "--T", "10",
+                 "--out", f"{base}/simulate"])
+    return outcomes
+
+
 def main() -> int:
     shutil.rmtree(OUT, ignore_errors=True)
     os.makedirs(OUT)
@@ -77,18 +96,7 @@ def main() -> int:
     os.makedirs(guard, exist_ok=True)
     with open(f"{guard}/exit_code.json", "w") as fh:
         json.dump(run_cli(["grid-demo", *GRID_TIMELINE, "--seed", "3", "--out", guard]), fh)
-    for name, ns in networks().items():
-        base = f"{OUT}/{name}"
-        os.makedirs(base, exist_ok=True)
-        system = f"{base}/network.json"
-        ns.to_json(system)
-        for cmd in ("check", "attack-search", "compensate", "norms"):
-            outcomes[f"{name} {cmd}"] = run_cli([cmd, system, "--out", f"{base}/{cmd}"])
-        comp = f"{base}/compensate/compensator.json"
-        if os.path.exists(comp):
-            outcomes[f"{name} simulate"] = run_cli(
-                ["simulate", system, "--compensator", comp, "--T", "10",
-                 "--out", f"{base}/simulate"])
+    outcomes.update(run_networks(OUT))
     with open(f"{OUT}/exit_codes.json", "w") as fh:
         json.dump(outcomes, fh, indent=1, sort_keys=True)
 

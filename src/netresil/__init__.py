@@ -24,8 +24,7 @@ from .youla import (AllPassParam, DestabilizerResult, GeneralizedPlant,
                     YoulaController, allpass_fit, allpass_ss,
                     design_nominal_gains, destabilizer_search,
                     realize_controller)
-from .simulate import (ReferenceSignal, Scenario, Trajectory, l2_energy,
-                       l2_norm, run_scenario, simulate)
+from .simulate import ReferenceSignal, Scenario, Trajectory, run_scenario, simulate
 
 __version__ = "0.1.0"
 
@@ -39,8 +38,8 @@ __all__ = [
     "default_grid", "design_nominal_gains", "design_observer_gain",
     "design_theta", "destabilizer_search", "eval_frequency",
     "feedback_interconnect", "hinf_norm", "interconnect", "is_cascade",
-    "is_hurwitz", "is_weakly_resilient", "l2_energy", "l2_norm",
-    "performance_bound", "realize_controller", "run_scenario", "simulate",
-    "solve_care", "spectral_abscissa", "synthesize_compensator",
+    "is_hurwitz", "is_weakly_resilient", "performance_bound",
+    "realize_controller", "run_scenario", "simulate", "solve_care",
+    "spectral_abscissa", "synthesize_compensator",
     "synthesize_observer_compensator", "verify_triangular",
 ]

@@ -164,8 +164,7 @@ def cmd_simulate(args) -> int:
     x0[xs] = rng.standard_normal(ns.n)
     traj = simulate(plant, x0, None, T=args.T, h=args.h, store_every=args.store_every)
     # split the compensator block out for the CSV layout
-    traj = dataclasses.replace(traj, states=traj.states[:, xs],
-                               comp_states=traj.states[:, phi], commands=traj.inputs)
+    traj = dataclasses.replace(traj, states=traj.states[:, xs], comp_states=traj.states[:, phi])
     csv_path = os.path.join(out, "trajectory.csv")
     trajectory_csv(traj, csv_path)
     print(f"wrote {csv_path} ({traj.times.size} samples, diverged={traj.diverged})")

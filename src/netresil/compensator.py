@@ -136,15 +136,12 @@ def _gamma_matrix(ns: NetworkedSystem, cut: str) -> np.ndarray:
     cut='1to2' removes the influence of node 1 on node 2 (the J2 S1 block),
     so Gamma carries J2 against z1; cut='2to1' mirrors it.
     """
-    n1, n2 = ns.sub1.n, ns.sub2.n
-    p1, p2 = ns.sub1.p, ns.sub2.p
-    G = np.zeros((n1 + n2, p1 + p2))
+    n1, p1 = ns.sub1.n, ns.sub1.p
+    G = np.zeros((ns.n, ns.p_total))
     if cut == "1to2":
         G[n1:, :p1] = ns.sub2.J
-    elif cut == "2to1":
-        G[:n1, p1:] = ns.sub1.J
     else:
-        raise ValueError("cut must be '1to2' or '2to1'")
+        G[:n1, p1:] = ns.sub1.J
     return G
 
 
@@ -156,17 +153,16 @@ def default_cut(ns: NetworkedSystem) -> str:
     return "1to2" if n_1to2 <= n_2to1 else "2to1"
 
 
-def synthesize_compensator(ns: NetworkedSystem, theta_policy: str = "gamma_scan",
-                           cut: str | None = None) -> Compensator:
-    """Build the compensator that renders the network block-triangular.
+def synthesize_compensator(ns: NetworkedSystem, theta_policy: str = "gamma_scan") -> Compensator:
+    """Build the compensator that renders the network block-triangular,
+    cutting the direction :func:`default_cut` picks.
 
     ``theta_policy`` is ``"gamma_scan"`` (coarse LQR-weight scan minimizing
     the disturbance-channel norm) or ``"lqr"`` (unit weights). Requires
     Dz = 0 and (A, R) controllable.
     """
     _require_zero_feedthrough(ns)
-    if cut is None:
-        cut = default_cut(ns)
+    cut = default_cut(ns)
     sigma = interconnect(ns)
     A, R = sigma.A, ns.R
     if not is_controllable(A, R):
@@ -309,8 +305,7 @@ def performance_bound(comp: Compensator, ns: NetworkedSystem) -> PerformanceBoun
 
 
 def synthesize_observer_compensator(ns: NetworkedSystem,
-                                    theta_policy: str = "gamma_scan",
-                                    cut: str | None = None) -> Compensator:
+                                    theta_policy: str = "gamma_scan") -> Compensator:
     """Compensator fed by an observer of the interaction output w = dg(S) x.
 
     The observer
@@ -318,7 +313,7 @@ def synthesize_observer_compensator(ns: NetworkedSystem,
     reconstructs x, and the compensator consumes zhat = dg(S) xhat in place
     of z. Requires (A, dg(S)) observable.
     """
-    base = synthesize_compensator(ns, theta_policy=theta_policy, cut=cut)
+    base = synthesize_compensator(ns, theta_policy=theta_policy)
     H = design_observer_gain(interconnect(ns).A, ns.interaction_map())
     return replace(base, observer_gain=H)
 

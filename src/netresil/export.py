@@ -89,15 +89,14 @@ def trajectory_csv(traj: Trajectory, path: str) -> None:
     n = traj.states.shape[1]
     n_phi = traj.comp_states.shape[1]
     q = traj.outputs.shape[1]
-    u = traj.commands if traj.commands is not None else traj.inputs
-    m = u.shape[1]
+    m = traj.commands.shape[1]
     header = (["t"]
               + [f"x{i+1}" for i in range(n)]
               + [f"phi{i+1}" for i in range(n_phi)]
               + [f"y{i+1}" for i in range(q)]
               + [f"u{i+1}" for i in range(m)])
     block = np.hstack([traj.times[:, None], traj.states, traj.comp_states,
-                       traj.outputs, u])
+                       traj.outputs, traj.commands])
     k = _slice_count(block)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -140,8 +139,8 @@ _COLORS = ("#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df",
 
 
 def svg_line_chart(path: str, t: np.ndarray, series: Sequence[np.ndarray],
-                   labels: Sequence[str] | None = None, title: str = "") -> None:
-    """Write one standalone 720 x 340 SVG chart with a polyline per series."""
+                   labels: Sequence[str], title: str = "") -> None:
+    """Write one standalone 720 x 340 SVG chart, one labelled polyline per series."""
     width, height = 720, 340
     ml, mr, mt, mb = 56, 16, 28, 36
     pw, ph = width - ml - mr, height - mt - mb
@@ -189,10 +188,9 @@ def svg_line_chart(path: str, t: np.ndarray, series: Sequence[np.ndarray],
         pts = _svg_path(sx(t[mask][::step]), sy(np.clip(s[mask][::step], lo, hi)))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')
-        if labels is not None:
-            parts.append(f'<text x="{ml + pw - 150}" y="{mt + 14 + 13 * i}" '
-                         f'font-family="monospace" font-size="11" '
-                         f'fill="{color}">{labels[i]}</text>')
+        parts.append(f'<text x="{ml + pw - 150}" y="{mt + 14 + 13 * i}" '
+                     f'font-family="monospace" font-size="11" '
+                     f'fill="{color}">{labels[i]}</text>')
     parts.append("</svg>")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -218,7 +216,7 @@ def plot_outputs(traj: Trajectory, outdir: str,
 
 def plot_commands(traj: Trajectory, outdir: str) -> str | None:
     """All controller commands on one chart."""
-    u = traj.commands if traj.commands is not None else traj.inputs
+    u = traj.commands
     if u.shape[1] == 0:
         return None
     os.makedirs(outdir, exist_ok=True)

@@ -334,7 +334,7 @@ def eval_frequency(g: StateSpace, omegas) -> FrequencyResponse:
 def spectral_abscissa(A) -> float:
     """Largest real part of the eigenvalues; -inf for an empty matrix."""
     A = _as_matrix(A)
-    if A.shape == (1, 0) or A.size == 0:
+    if A.size == 0:
         return -np.inf
     return float(np.linalg.eigvals(A).real.max())
 

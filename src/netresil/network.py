@@ -19,6 +19,7 @@ import scipy.linalg as sla
 
 from .lti import (DimensionError, StateSpace, blockdiag, feedback_interconnect, frozen_array,
                   is_controllable, is_observable)
+from .synthesis import SynthesisError
 
 
 @dataclass(frozen=True)
@@ -233,8 +234,9 @@ def is_weakly_resilient(ns: NetworkedSystem, certify: bool = True) -> Resilience
     the verdict is exact. Outside that hypothesis set a cascade still
     certifies resilience, but a dense coupling yields ``unknown``. For an
     exact non-resilient verdict a destabilizing controller is searched for
-    when ``certify`` is set; a failed search leaves the verdict intact
-    (the characterization is structural) and is reported as inconclusive.
+    when ``certify`` is set; a failed search, a refused nominal gain
+    design included, leaves the verdict intact (the characterization is
+    structural) and is reported as inconclusive.
     """
     verdict = is_cascade(ns)
     notes = []
@@ -257,10 +259,12 @@ def is_weakly_resilient(ns: NetworkedSystem, certify: bool = True) -> Resilience
     if certify:
         from .youla import destabilizer_search
 
-        result = destabilizer_search(ns)
-        if result.found:
-            certificate = result
-        else:
+        try:
+            certificate = destabilizer_search(ns)
+        except SynthesisError as exc:
+            notes.append(f"nominal gain design failed: {exc}")
+        if certificate is None or not certificate.found:
+            certificate = None
             notes.append("destabilizer search inconclusive: verdict rests on the "
                          "structural characterization; no certificate produced")
     return ResilienceReport("not_resilient", verdict, exact, tuple(notes), certificate)

@@ -209,12 +209,8 @@ class TrackingController:
         D[:, :qd] = k.D
         return StateSpace(k.A, B, k.C, D)
 
-    def local_abscissa(self, q_param: StateSpace | None = None) -> float:
-        """Spectral abscissa of the local cluster closed loop."""
-        return self._loop_abscissa(self.realize(q_param))
-
-    def _loop_abscissa(self, controller: StateSpace) -> float:
-        """Spectral abscissa of the cluster closed by a realized controller."""
+    def local_abscissa(self, controller: StateSpace) -> float:
+        """Spectral abscissa of the cluster closed by a :meth:`realize` output."""
         plant = StateSpace(self.A, self.B, self.C, None)
         loop = closed_tracking_loop(plant, [controller], [self.C.shape[0]])
         return spectral_abscissa(loop.A)
@@ -284,7 +280,7 @@ def find_destabilizing_attack(ns: NetworkedSystem, k1: TrackingController,
         qp2 = random_stable_statespace(rng, 2, m=ns.sub2.q, q=ns.sub2.m, gain=gain,
                                        min_margin=0.2)
         c1, c2 = k1.realize(qp1), k2.realize(qp2)
-        loc1, loc2 = k1._loop_abscissa(c1), k2._loop_abscissa(c2)
+        loc1, loc2 = k1.local_abscissa(c1), k2.local_abscissa(c2)
         if loc1 >= -1e-6 or loc2 >= -1e-6:
             continue
         glob = spectral_abscissa(closed_tracking_loop(plant, [c1, c2], q_dims).A)

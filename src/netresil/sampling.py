@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .lti import StateSpace, is_controllable, is_observable
@@ -30,8 +32,8 @@ def _eig_margin(A: np.ndarray) -> float:
 
 
 def random_subsystem(rng: np.random.Generator, n: int, m: int = 1, q: int = 1,
-                     p: int = 1, p_peer: int = 1, with_dz: bool = False) -> Subsystem:
-    """Random controllable/observable node with dense coupling maps.
+                     p: int = 1, p_peer: int = 1) -> Subsystem:
+    """Random controllable/observable node with dense coupling maps, Dz = 0.
 
     Eigenvalues of A are kept at least 0.02 away from the imaginary axis
     so frequency-grid evaluations stay well conditioned; a node is drawn
@@ -47,42 +49,21 @@ def random_subsystem(rng: np.random.Generator, n: int, m: int = 1, q: int = 1,
             continue
         J = rng.normal(size=(n, p_peer))
         S = rng.normal(size=(p, n))
-        Dz = rng.normal(size=(q, p_peer)) if with_dz else None
-        return Subsystem(A, B, C, J, S, Dz)
+        return Subsystem(A, B, C, J, S, None)
     raise RuntimeError("failed to sample a minimal subsystem")
 
 
 def random_networked_system(rng: np.random.Generator, n1: int = 3, n2: int = 3,
-                            channels: tuple[int, int] = (1, 1),
-                            with_dz: bool = False,
-                            normalize_s: bool = False) -> NetworkedSystem:
-    """Dense-coupled two-node network with R = I (always controllable).
-
-    ``channels`` gives (width of node-1 channels, width of node-2
-    channels) applied to u/y/z alike; ``normalize_s`` rescales each S_i to
-    unit spectral norm (moving the scale into the peer's J) so interaction
-    outputs are non-amplifying.
-    """
+                            channels: tuple[int, int] = (1, 1)) -> NetworkedSystem:
+    """Dense-coupled two-node network with R = I (always controllable);
+    ``channels`` gives the (node-1, node-2) widths of u, y and z alike."""
     c1, c2 = channels
-    s1 = random_subsystem(rng, n1, m=c1, q=c1, p=c1, p_peer=c2, with_dz=with_dz)
-    s2 = random_subsystem(rng, n2, m=c2, q=c2, p=c2, p_peer=c1, with_dz=with_dz)
-    J1, J2 = s1.J, s2.J
-    S1, S2 = s1.S, s2.S
-    if normalize_s:
-        g1 = np.linalg.svd(S1, compute_uv=False)[0]
-        g2 = np.linalg.svd(S2, compute_uv=False)[0]
-        S1, J2 = S1 / g1, J2 * g1
-        S2, J1 = S2 / g2, J1 * g2
-    s1 = Subsystem(s1.A, s1.B, s1.C, J1, S1, s1.Dz if with_dz else None)
-    s2 = Subsystem(s2.A, s2.B, s2.C, J2, S2, s2.Dz if with_dz else None)
+    s1 = random_subsystem(rng, n1, m=c1, q=c1, p=c1, p_peer=c2)
+    s2 = random_subsystem(rng, n2, m=c2, q=c2, p=c2, p_peer=c1)
     return NetworkedSystem(s1, s2, np.eye(n1 + n2))
 
 
-def random_cascade_system(rng: np.random.Generator, n1: int = 3, n2: int = 3
-                          ) -> NetworkedSystem:
+def random_cascade_system(rng: np.random.Generator, n1: int = 3, n2: int = 3) -> NetworkedSystem:
     """SISO network in which nothing flows 2 -> 1 (J1 = 0)."""
     ns = random_networked_system(rng, n1, n2)
-    s1 = ns.sub1
-    return NetworkedSystem(Subsystem(s1.A, s1.B, s1.C, np.zeros_like(s1.J), s1.S, None),
-                           ns.sub2, ns.R)
-
+    return replace(ns, sub1=replace(ns.sub1, J=np.zeros_like(ns.sub1.J)))

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .compensator import Compensator, compensated_plant
 from .lti import (StateSpace, blockdiag, feedback_interconnect, frozen_array,
@@ -41,10 +40,6 @@ class StepSizeError(ValueError):
     """h fails the bound h |lambda|_max <= 0.1 after MAX_HALVINGS halvings."""
 
 
-class DivergenceError(RuntimeError):
-    """Operation requires a non-divergent trajectory."""
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled closed-loop record.
@@ -52,8 +47,8 @@ class Trajectory:
     ``states`` holds the physical plant state x, ``comp_states`` the
     compensator state phi (zero columns when none is attached),
     ``outputs``/``inputs`` the measured outputs and the exogenous inputs
-    driving the run (controller commands for scenario runs are in
-    ``commands``). ``h`` is the stored sample step and ``step`` the RK4
+    driving the run, ``commands`` the plant input u (the controller commands
+    of a scenario run). ``h`` is the stored sample step and ``step`` the RK4
     step the run took (None on a record no run produced); ``diverged``
     marks a truncated run whose state left the finite range.
     """
@@ -63,23 +58,16 @@ class Trajectory:
     comp_states: np.ndarray
     outputs: np.ndarray
     inputs: np.ndarray
+    commands: np.ndarray
     h: float
     diverged: bool = False
-    commands: np.ndarray | None = None
     step: float | None = None
 
     def __post_init__(self):
         k = self.times.size
-        for name in ("states", "comp_states", "outputs", "inputs"):
+        for name in ("states", "comp_states", "outputs", "inputs", "commands"):
             if getattr(self, name).shape[0] != k:
                 raise ValueError(f"{name} rows must match times")
-
-
-class L2Report(NamedTuple):
-    """L2 norm with a truncation-quality indicator."""
-
-    value: float
-    terminal_ratio: float
 
 
 @dataclass(frozen=True)
@@ -266,9 +254,9 @@ def simulate(system: StateSpace, x0, inputs=None, T: float = 1.0, h: float = 1e-
              store_every: int = 1) -> Trajectory:
     """Integrate x' = A x + B u from x0 over [0, T] with :func:`guarded_step`.
 
-    ``inputs`` is None (zero input) or a constant vector u. Divergence
-    (non-finite state or a state entry above 1e9 in magnitude) truncates
-    the run and flags the trajectory.
+    ``inputs`` is None (zero input) or a constant vector u, stored as both
+    ``inputs`` and ``commands``. Divergence (non-finite state or a state
+    entry above 1e9 in magnitude) truncates the run and flags the trajectory.
     """
     check_run(T, h, store_every)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -286,7 +274,8 @@ def simulate(system: StateSpace, x0, inputs=None, T: float = 1.0, h: float = 1e-
     times = steps.astype(float) * step
     Y = X @ system.C.T + U @ system.D.T
     return Trajectory(times=times, states=X, comp_states=np.zeros((X.shape[0], 0)),
-                      outputs=Y, inputs=U, h=h * store_every, diverged=diverged, step=step)
+                      outputs=Y, inputs=U, commands=U, h=h * store_every, diverged=diverged,
+                      step=step)
 
 
 @dataclass(frozen=True)
@@ -406,41 +395,6 @@ def run_scenario(ns: NetworkedSystem, comp: Compensator | None,
     traj = Trajectory(times=times, states=Xp[:, x_slice], comp_states=Xp[:, phi_slice],
                       outputs=np.vstack(all_y) if all_y else np.zeros((0, ns.q)),
                       inputs=np.vstack(all_yd) if all_yd else np.zeros((0, ns.q)),
-                      h=scenario.h * scenario.store_every, diverged=diverged,
-                      commands=np.vstack(all_u) if all_u else np.zeros((0, ns.m)), step=h)
+                      commands=np.vstack(all_u) if all_u else np.zeros((0, ns.m)),
+                      h=scenario.h * scenario.store_every, diverged=diverged, step=h)
     return traj, seg_reports
-
-
-def l2_norm(traj: Trajectory, signal: str = "states") -> L2Report:
-    """Trapezoidal L2 norm of a trajectory signal over its horizon.
-
-    ``signal`` selects one of states / comp_states / outputs / inputs /
-    commands. The terminal-energy ratio ||v(T)||^2 / max ||v||^2 indicates
-    how much tail the finite horizon truncated.
-    """
-    if traj.diverged:
-        raise DivergenceError("trajectory diverged; L2 norm undefined")
-    v = getattr(traj, signal)
-    if v is None:
-        raise ValueError(f"trajectory has no {signal!r} signal")
-    sq = np.einsum("ij,ij->i", v, v)
-    if sq.size < 2:
-        return L2Report(0.0, 0.0)
-    val = float(np.sqrt(np.trapezoid(sq, dx=traj.h)))
-    peak = float(sq.max())
-    ratio = float(sq[-1] / peak) if peak > 0 else 0.0
-    return L2Report(val, ratio)
-
-
-def l2_energy(system: StateSpace, x0) -> float:
-    """Exact output energy int_0^inf ||C e^(At) x0||^2 dt = x0' W x0 of the
-    autonomous response, with W the observability Gramian solving
-    A'W + WA + C'C = 0. It is the closed form that ``l2_norm`` of an
-    infinitely long run approximates. Requires a Hurwitz A.
-    """
-    absc = spectral_abscissa(system.A)
-    if absc >= 0:
-        raise ValueError(f"l2_energy requires a Hurwitz A (abscissa {absc:.3e})")
-    W = sla.solve_continuous_lyapunov(system.A.T, -system.C.T @ system.C)
-    x0 = np.asarray(x0, dtype=float)
-    return float(x0 @ W @ x0)

@@ -19,11 +19,12 @@ from netresil.powergrid import (design_tracking_controllers,
                                 find_destabilizing_attack, grid_network)
 from netresil.sampling import random_networked_system, random_stable_statespace
 from netresil.simulate import (ReferenceSignal, Scenario, Trajectory,
-                               closed_tracking_loop, l2_norm, run_scenario,
-                               simulate)
+                               closed_tracking_loop, run_scenario, simulate)
 from netresil.synthesis import hinf_norm, solve_care
 from netresil.youla import (YoulaController, design_nominal_gains,
                             destabilizer_search, realize_controller)
+
+from l2_measures import l2_norm
 
 
 def _guard_limit(A: np.ndarray) -> float:
@@ -187,10 +188,10 @@ def test_criterion_5_l2_performance_bound(l2_cross_check):
             tx = simulate(view_x, z0x, None, T=T, h=h, store_every=10)
             xc = Trajectory(times=tc.times, states=tc.states[:, x_c],
                             comp_states=tc.states[:, :0], outputs=tc.outputs[:, :0],
-                            inputs=tc.inputs, h=tc.h)
+                            inputs=tc.inputs, commands=tc.commands, h=tc.h)
             xx = Trajectory(times=tx.times, states=tx.states[:, :n],
                             comp_states=tx.states[:, :0], outputs=tx.outputs[:, :0],
-                            inputs=tx.inputs, h=tx.h)
+                            inputs=tx.inputs, commands=tx.commands, h=tx.h)
             rc = l2_norm(xc, "states")
             rx = l2_norm(xx, "states")
             if max(rc.terminal_ratio, rx.terminal_ratio) < 1e-4:

@@ -128,7 +128,7 @@ class TestTrackingAssembly:
                     # twice: the second call reads the parts built by the first
                     for _ in range(2):
                         _assert_same(tracker.realize(qp), oracle.tracking_realize(tracker, qp))
-                        assert (tracker.local_abscissa(qp)
+                        assert (tracker.local_abscissa(tracker.realize(qp))
                                 == oracle.tracking_local_abscissa(tracker, qp))
 
     def test_grid_loops(self, rng, grids):

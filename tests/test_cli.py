@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -16,6 +17,7 @@ from netresil.lti import StateSpace
 from netresil.sampling import (random_cascade_system, random_networked_system)
 from netresil.simulate import Trajectory, simulate
 
+from conftest import sample_network
 from test_cli_contract import EXIT_CODES
 
 
@@ -29,7 +31,7 @@ def fixtures(tmp_path):
     mimo = tmp_path / "mimo.json"
     random_networked_system(rng, 3, 3, channels=(2, 2)).to_json(mimo)
     dz = tmp_path / "dz.json"
-    random_networked_system(rng, 2, 2, with_dz=True).to_json(dz)
+    sample_network(rng, 2, 2, dz=True).to_json(dz)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     return {"dense": str(dense), "cascade": str(cascade), "mimo": str(mimo),
@@ -65,6 +67,35 @@ class TestCheck:
         assert main(["check", str(path), "--out", str(tmp_path / "c")]) == 2
         assert (tmp_path / "c" / "destabilizer.json").exists()
         assert main(["attack-search", str(path), "--out", str(tmp_path / "a")]) == 0
+
+    def test_refused_gain_design_leaves_the_verdict(self, tmp_path, capsys):
+        # sub1's state in 1e-3 units: the unit-weight nominal gain design is
+        # refused (Riccati residual 3.15e-08), but the verdict is structural
+        from netresil.network import NetworkedSystem
+
+        ns = random_networked_system(np.random.default_rng(2), 3, 3)
+        s1 = ns.sub1
+        R = ns.R.copy()
+        R[:3] *= 1e3
+        path = tmp_path / "units.json"
+        NetworkedSystem(dataclasses.replace(s1, B=1e3 * s1.B, J=1e3 * s1.J,
+                                            C=1e-3 * s1.C, S=1e-3 * s1.S),
+                        ns.sub2, R).to_json(path)
+        reports = []
+        for flags in ([], ["--no-certificate"]):
+            out = tmp_path / f"c{len(flags)}"
+            assert main(["check", str(path), "--out", str(out), *flags]) == 2
+            assert not (out / "destabilizer.json").exists()
+            reports.append(json.loads((out / "check_report.json").read_text()))
+        assert [r["verdict"] for r in reports] == ["not_resilient"] * 2
+        assert "certificate" not in reports[0]
+        assert any("inconclusive" in note for note in reports[0]["notes"])
+        assert any("Riccati residual" in note for note in reports[0]["notes"])
+        capsys.readouterr()
+        # the search itself still refuses the design, as documented
+        assert main(["attack-search", str(path), "--out", str(tmp_path / "a")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Riccati residual")
 
 
 class TestCompensate:
@@ -479,7 +510,8 @@ class TestExport:
         k = len(vals)
         traj = Trajectory(times=np.arange(k, dtype=float),
                           states=np.array(vals)[:, None], comp_states=np.zeros((k, 0)),
-                          outputs=np.zeros((k, 1)), inputs=np.ones((k, 1)), h=1.0)
+                          outputs=np.zeros((k, 1)), inputs=np.ones((k, 1)),
+                          commands=np.ones((k, 1)), h=1.0)
         path = tmp_path / "v.csv"
         trajectory_csv(traj, str(path))
         lines = path.read_text().splitlines()
@@ -509,11 +541,11 @@ class TestExport:
 
 def serial_csv(traj: Trajectory) -> bytes:
     """Reference CSV: the header, then every row through the one-line formatter."""
-    u = traj.commands if traj.commands is not None else traj.inputs
     names = ["t"] + [f"{p}{i + 1}" for p, a in (("x", traj.states), ("phi", traj.comp_states),
-                                                ("y", traj.outputs), ("u", u))
+                                                ("y", traj.outputs), ("u", traj.commands))
                      for i in range(a.shape[1])]
-    block = np.hstack([traj.times[:, None], traj.states, traj.comp_states, traj.outputs, u])
+    block = np.hstack([traj.times[:, None], traj.states, traj.comp_states, traj.outputs,
+                       traj.commands])
     lines = [",".join(names)] + [",".join(map(repr, row.tolist())) for row in block]
     return ("\n".join(lines) + "\n").encode()
 
@@ -523,7 +555,8 @@ def states_trajectory(rows: int, cols: int, seed: int = 0) -> Trajectory:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((rows, cols - 1)) * 10.0 ** rng.integers(-20, 20, (rows, cols - 1))
     return Trajectory(times=np.arange(rows) * 0.1, states=x, comp_states=np.zeros((rows, 0)),
-                      outputs=np.zeros((rows, 0)), inputs=np.zeros((rows, 0)), h=0.1)
+                      outputs=np.zeros((rows, 0)), inputs=np.zeros((rows, 0)),
+                      commands=np.zeros((rows, 0)), h=0.1)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the CSV is split only where os.fork exists")

@@ -15,9 +15,12 @@ from netresil.lti import StateSpace, default_grid, eval_frequency, is_hurwitz, s
 from netresil.network import (NetworkedSystem, Subsystem,
                               close_local_controllers, interconnect)
 from netresil.sampling import random_networked_system, random_stable_statespace
-from netresil.simulate import l2_norm, simulate
+from netresil.simulate import simulate
 from netresil.synthesis import HinfResult, SynthesisError
 from netresil.youla import YoulaController, design_nominal_gains, realize_controller
+
+from conftest import sample_network, swap_nodes
+from l2_measures import l2_norm
 
 
 def scalar_network():
@@ -51,28 +54,39 @@ class TestSynthesize:
         assert np.abs(fr[:, 1, 1] - want22).max() <= 1e-9
 
     def test_construction_matches_definition_exactly(self, dense_siso):
-        ns = dense_siso
-        comp = synthesize_compensator(ns, cut="1to2")
-        sigma = interconnect(ns)
-        n1 = ns.sub1.n
-        want_gamma = np.zeros((ns.n, ns.p_total))
-        want_gamma[n1:, :ns.sub1.p] = ns.sub2.J
-        assert np.array_equal(comp.Gamma, want_gamma)
-        acal = sigma.A - want_gamma @ ns.interaction_map()
-        assert np.array_equal(comp.Lambda_, acal + ns.R @ comp.Theta)
-        assert np.array_equal(comp.Xi, -ns.output_map())
-        ok, _ = is_hurwitz(sigma.A + ns.R @ comp.Theta)
-        assert ok
+        # dense_siso cuts 2to1; with its nodes swapped it cuts 1to2
+        cuts = []
+        for ns in (dense_siso, swap_nodes(dense_siso)):
+            comp = synthesize_compensator(ns)
+            cuts.append(comp.cut)
+            sigma = interconnect(ns)
+            n1, p1 = ns.sub1.n, ns.sub1.p
+            want_gamma = np.zeros((ns.n, ns.p_total))
+            if comp.cut == "1to2":
+                want_gamma[n1:, :p1] = ns.sub2.J
+            else:
+                want_gamma[:n1, p1:] = ns.sub1.J
+            assert np.array_equal(comp.Gamma, want_gamma)
+            acal = sigma.A - want_gamma @ ns.interaction_map()
+            assert np.array_equal(comp.Lambda_, acal + ns.R @ comp.Theta)
+            assert np.array_equal(comp.Xi, -ns.output_map())
+            ok, _ = is_hurwitz(sigma.A + ns.R @ comp.Theta)
+            assert ok
+        assert cuts == ["2to1", "1to2"]
 
     def test_gamma_rank_equals_kept_coupling_rank(self, rng):
         ns = random_networked_system(rng, 4, 3, channels=(2, 2))
-        comp = synthesize_compensator(ns, cut="1to2")
+        comp = synthesize_compensator(ns)
+        assert comp.cut == "1to2"
         assert np.linalg.matrix_rank(comp.Gamma) == np.linalg.matrix_rank(ns.sub2.J)
-        comp2 = synthesize_compensator(ns, cut="2to1")
-        assert np.linalg.matrix_rank(comp2.Gamma) == np.linalg.matrix_rank(ns.sub1.J)
+        # the swapped network cuts 2to1 on the same couplings
+        swapped = swap_nodes(ns)
+        comp2 = synthesize_compensator(swapped)
+        assert comp2.cut == "2to1"
+        assert np.linalg.matrix_rank(comp2.Gamma) == np.linalg.matrix_rank(swapped.sub1.J)
 
     def test_nonzero_feedthrough_rejected(self, rng):
-        ns = random_networked_system(rng, 2, 2, with_dz=True)
+        ns = sample_network(rng, 2, 2, dz=True)
         with pytest.raises(SynthesisError, match="feedthrough"):
             synthesize_compensator(ns)
 
@@ -256,7 +270,7 @@ class TestSpectralSeparation:
 class TestL2Bound:
     def test_state_splits_as_cascade_plus_compensator(self, rng):
         # x(t) of the compensated loop equals chi(t) + phi(t) pointwise
-        ns = random_networked_system(rng, 3, 3, normalize_s=True)
+        ns = sample_network(rng, 3, 3, unit_s=True)
         comp = synthesize_compensator(ns)
         sysc = attach_compensator(ns, comp)
         casc = cascade_reference(ns, comp)
@@ -286,7 +300,7 @@ class TestL2Bound:
         assert np.abs(x - (chi + phi)).max() <= 1e-8 * max(1.0, np.abs(x).max())
 
     def test_l2_bound_holds_with_unit_interaction_map(self, rng, l2_cross_check):
-        ns = random_networked_system(rng, 3, 3, normalize_s=True)
+        ns = sample_network(rng, 3, 3, unit_s=True)
         comp = synthesize_compensator(ns)
         pb = performance_bound(comp, ns)
         sysc = attach_compensator(ns, comp)
@@ -321,11 +335,11 @@ class TestL2Bound:
                 xc = Trajectory(times=tc.times, states=tc.states[:, n:2 * n],
                                 comp_states=tc.states[:, :0],
                                 outputs=tc.outputs[:, :0], inputs=tc.inputs,
-                                h=tc.h)
+                                commands=tc.commands, h=tc.h)
                 xx = Trajectory(times=tx.times, states=tx.states[:, :n],
                                 comp_states=tx.states[:, :0],
                                 outputs=tx.outputs[:, :0], inputs=tx.inputs,
-                                h=tx.h)
+                                commands=tx.commands, h=tx.h)
                 rc = l2_norm(xc, "states")
                 rx = l2_norm(xx, "states")
                 if max(rc.terminal_ratio, rx.terminal_ratio) < 1e-4 or T > 2000:

@@ -117,7 +117,7 @@ class TestBuildNetwork:
 class TestTrackingDesign:
     def test_local_loops_stable_and_track(self):
         gm, ns, k1, k2, ref, _ = grid_network(0)
-        assert k1.local_abscissa() < 0 and k2.local_abscissa() < 0
+        assert k1.local_abscissa(k1.realize()) < 0 and k2.local_abscissa(k2.realize()) < 0
         # constant reference tracking on the interconnected nominal loop
         level = np.full(5, 0.1)
         sc = Scenario(segments=((0.0, "nom"),), horizon=50.0, x0=np.zeros(20),
@@ -131,7 +131,7 @@ class TestTrackingDesign:
     def test_detuned_attack_locally_stable_but_sluggish(self):
         gm, ns, k1, k2, _, _ = grid_network(0)
         ka1, ka2 = design_tracking_controllers(ns, r_scale=1e4)
-        assert ka1.local_abscissa() < 0 and ka2.local_abscissa() < 0
+        assert ka1.local_abscissa(ka1.realize()) < 0 and ka2.local_abscissa(ka2.realize()) < 0
         assert np.linalg.norm(ka1.Kx) < np.linalg.norm(k1.Kx)
 
     def test_nominal_interconnected_stable_over_seeds(self):
@@ -177,7 +177,7 @@ class TestTrackingDesign:
             resampled += used != seed
             assert np.any(ns.sub1.J @ ns.sub2.S) and np.any(ns.sub2.J @ ns.sub1.S)
             assert is_cascade(ns) is CascadeVerdict.NONE
-            assert k1.local_abscissa() < 0 and k2.local_abscissa() < 0
+            assert k1.local_abscissa(k1.realize()) < 0 and k2.local_abscissa(k2.realize()) < 0
         assert resampled == 0
 
     def test_resample_is_logged_not_printed(self, monkeypatch, caplog, capsys):

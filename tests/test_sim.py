@@ -5,10 +5,12 @@ from netresil.compensator import compensated_plant, synthesize_compensator
 from netresil.lti import StateSpace
 from netresil.powergrid import design_tracking_controllers, grid_network
 from netresil.sampling import random_networked_system
-from netresil.simulate import (DIVERGENCE_LIMIT, MAX_HALVINGS, DivergenceError,
-                               ReferenceSignal, Scenario, StepSizeError, _rk4_step_maps,
-                               closed_tracking_loop, l2_energy, l2_norm,
+from netresil.simulate import (DIVERGENCE_LIMIT, MAX_HALVINGS, ReferenceSignal, Scenario,
+                               StepSizeError, _rk4_step_maps, closed_tracking_loop,
                                run_scenario, simulate)
+
+from conftest import l2_energy
+from l2_measures import DivergenceError, l2_norm
 
 
 def decay():
@@ -102,6 +104,21 @@ class TestSimulate:
         traj = simulate(sys, x0, None, T=40.0, h=h, store_every=50)
         assert np.linalg.norm(traj.states[-1]) < 1e-4 * np.linalg.norm(x0)
 
+    def test_input_rows_are_the_commands(self):
+        g = StateSpace([[-1.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]], [[1.0, 0.0]], 0)
+        traj = simulate(g, [1.0, 0.0], [0.5], T=0.1, h=1e-2)
+        assert np.array_equal(traj.commands, np.full((traj.times.size, 1), 0.5))
+
+    def test_every_signal_has_one_row_per_sample(self):
+        from netresil.simulate import Trajectory
+
+        rows = {name: np.zeros((3, 1))
+                for name in ("states", "comp_states", "outputs", "inputs", "commands")}
+        Trajectory(times=np.arange(3.0), h=1.0, **rows)
+        for name in rows:
+            with pytest.raises(ValueError, match=f"{name} rows"):
+                Trajectory(times=np.arange(3.0), h=1.0, **{**rows, name: np.zeros((4, 1))})
+
 
 class TestL2Norm:
     def test_exponential_closed_form(self):
@@ -120,7 +137,7 @@ class TestL2Norm:
 
         rev = Trajectory(times=traj.times, states=traj.states[::-1].copy(),
                          comp_states=traj.comp_states, outputs=traj.outputs,
-                         inputs=traj.inputs, h=traj.h)
+                         inputs=traj.inputs, commands=traj.commands, h=traj.h)
         assert l2_norm(rev, "states").value == pytest.approx(
             l2_norm(traj, "states").value, rel=1e-12)
 

@@ -13,6 +13,8 @@ from netresil.youla import (AllPassParam, GeneralizedPlant, YoulaController,
                             destabilizer_search, realize_controller,
                             zero_parameter)
 
+from conftest import with_dz
+
 
 def local_map_delta(gp: GeneralizedPlant, Q: StateSpace) -> StateSpace:
     """Realization of the closed node's coupling-to-interaction map d -> z.
@@ -266,7 +268,7 @@ class TestLocalMapDelta:
         assert np.abs(got - want).max() <= 1e-9 * scale
 
     def test_realization_matches_formula_with_feedthrough(self, rng):
-        node = random_subsystem(rng, 3, with_dz=True)
+        node = with_dz(rng, random_subsystem(rng, 3))
         F, H = design_nominal_gains(node)
         gp = GeneralizedPlant(node, F, H)
         Q = random_stable_statespace(rng, 2, 1, 1)
@@ -281,7 +283,7 @@ class TestLocalMapDelta:
         # output feedthrough, and the increment over the nominal map is
         # exactly Q sigma_uz sigma_dy (the nominal map itself is nonzero
         # because the observer reacts to the corrupted measurement)
-        node = random_subsystem(rng, 3, with_dz=True)
+        node = with_dz(rng, random_subsystem(rng, 3))
         node = Subsystem(node.A, node.B, node.C, np.zeros_like(node.J),
                          node.S, node.Dz)
         F, H = design_nominal_gains(node)
@@ -378,7 +380,7 @@ class TestDestabilizerSearch:
         # J1 = 0 but Dz1 != 0: the node-1 coupling survives through the
         # output feedthrough and a destabilizer still exists
         for attempt in range(5):
-            s1 = random_subsystem(rng, 3, with_dz=True)
+            s1 = with_dz(rng, random_subsystem(rng, 3))
             s1 = Subsystem(s1.A, s1.B, s1.C, np.zeros_like(s1.J), s1.S, s1.Dz)
             s2 = random_subsystem(rng, 3)
             ns = NetworkedSystem(s1, s2, np.eye(6))
